@@ -57,7 +57,6 @@ from .posets import (
     multipartite_has_stable_partition,
     multipartite_stable_partition_count,
     niceness_violation,
-    poset_from_covers,
     semi_ordered_count,
     stable_partition_count,
     stable_partition_count_backtracking,

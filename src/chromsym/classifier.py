@@ -19,8 +19,13 @@ from .posets import (
     multipartite,
     multipartite_has_stable_partition,
 )
-from .schur import coeff_closed_32beta, coeff_closed_2beta, positivity_scan, _shape_rows
-from .tabloids import signed_g_tabloid_counts
+from .schur import (
+    _closed_family,
+    _shape_rows,
+    coeff_closed_32beta,
+    expand_schur,
+    positivity_scan,
+)
 
 SCHUR_POSITIVE = "SchurPositive"
 NOT_SCHUR_POSITIVE = "NotSchurPositive"
@@ -153,27 +158,10 @@ def _verify_scan(report: ClassificationReport, cap: int) -> bool:
     graph, poset, _ = multipartite(lam)
     scan = positivity_scan(graph, poset, cap)
     ok = scan.all_nonnegative == (report.verdict == SCHUR_POSITIVE)
-    rows = _shape_rows(lam)
-    if ok and rows is not None and rows[2] == 0 and rows[0] <= 1:
+    if ok and _closed_family(graph):
         # closed-family graph: the closed forms must match an enumeration route
-        threes, twos, _ = rows
-        for mu in partitions_of(lam.n):
-            direct = (
-                coeff_closed_32beta(twos, mu)
-                if threes
-                else _closed_2beta_shape(twos, mu)
-            )
-            pos, neg = signed_g_tabloid_counts(graph, poset, mu, tail_filter=True)
-            if direct != pos - neg:
-                return False
+        ok = expand_schur(graph, poset, "tail") == expand_schur(graph, poset, "closed")
     return ok
-
-
-def _closed_2beta_shape(beta: int, mu: Partition) -> int:
-    rows = _shape_rows(mu)
-    if rows is None or rows[0]:
-        return 0
-    return coeff_closed_2beta(beta, rows[1], rows[2])
 
 
 def verify_classification(

@@ -143,17 +143,19 @@ def _load_graph(config: RunConfig) -> tuple[Graph, Poset | None, dict]:
             raise UsageError(f"--multipartite: {exc}") from exc
         return graph, poset, {"multipartite": parts}
     data = _read_json(value)
-    if "multipartite" in data:
-        parts = data["multipartite"]
-        graph, poset, _ = multipartite(parts)
-        return graph, poset, {"multipartite": list(parts)}
+    if not isinstance(data, dict):
+        raise UsageError(f"{flag}: expected a JSON object, got {type(data).__name__}")
     try:
+        if "multipartite" in data:
+            parts = data["multipartite"]
+            graph, poset, _ = multipartite(parts)
+            return graph, poset, {"multipartite": list(parts)}
         if flag == "--poset-json":
             poset = Poset.from_json(data)
             return incomparability_graph(poset), poset, poset.to_json()
         graph = Graph.from_json(data)
         return graph, None, graph.to_json()
-    except (ChromsymError, ValueError, KeyError) as exc:
+    except (ChromsymError, ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"{flag}: {exc}") from exc
 
 

@@ -14,7 +14,7 @@ from math import factorial
 
 from .errors import CapExceededError, UnequalWeightError
 from .partitions import Partition, aspartition, partitions_of
-from .posets import Graph, stable_partition_count
+from .posets import Graph, semi_ordered_count
 from .symfunc import SymFunc
 
 DEFAULT_VERTEX_CAP = 12
@@ -180,22 +180,16 @@ class KostkaMatrix:
 def x_in_monomial(graph: Graph, cap: int = DEFAULT_VERTEX_CAP) -> SymFunc:
     """Chromatic symmetric function in the monomial basis.
 
-    The coefficient of m_mu is the stable-partition count of type mu times
-    the product of factorials of part multiplicities (each stable partition
-    contributes one augmented monomial). The coloring specialization test
-    pins this bridge down.
+    The coefficient of m_mu is the semi-ordered stable-partition count of
+    type mu: each stable partition contributes one augmented monomial. The
+    coloring specialization test pins this bridge down.
     """
     n = graph.size
     if n > cap:
         raise CapExceededError(f"graph has {n} vertices, cap is {cap}")
-    coeffs = {}
-    for mu in partitions_of(n):
-        count = stable_partition_count(graph, mu)
-        if count:
-            for m in mu.multiplicities().values():
-                count *= factorial(m)
-            coeffs[mu] = count
-    return SymFunc("monomial", n, coeffs)
+    return SymFunc(
+        "monomial", n, {mu: semi_ordered_count(graph, mu) for mu in partitions_of(n)}
+    )
 
 
 def monomial_to_schur(func: SymFunc, cap: int = DEFAULT_VERTEX_CAP) -> SymFunc:

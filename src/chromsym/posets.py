@@ -131,19 +131,16 @@ class Poset:
         return f"Poset(size={self.size}, covers={list(self.covers)})"
 
 
-def poset_from_covers(size: int, covers, labels=None) -> Poset:
-    """Poset whose order is the reflexive-transitive closure of the covers."""
-    return Poset(size, covers, labels)
-
-
 class Graph:
     """A finite simple graph on vertices 0..size-1 with bitmask adjacency.
 
     ``sides`` is set only for graphs built by :func:`multipartite`, recording
-    the stable sides; it unlocks the fast counting path.
+    the stable sides; it unlocks the fast counting path. ``_counts`` is the
+    graph's stable-partition count table, keyed by type and filled one type
+    at a time by :func:`stable_partition_count`.
     """
 
-    __slots__ = ("size", "_adj", "sides")
+    __slots__ = ("size", "_adj", "sides", "_counts")
 
     def __init__(self, size, edges, sides=None):
         _check_size(size)
@@ -159,10 +156,7 @@ class Graph:
         self.size = size
         self._adj = tuple(adj)
         self.sides = sides
-
-    @classmethod
-    def from_edges(cls, size, edges) -> "Graph":
-        return cls(size, edges)
+        self._counts = {}
 
     def adjacent(self, u: int, v: int) -> bool:
         return bool((self._adj[u] >> v) & 1)
@@ -417,16 +411,22 @@ def multipartite_has_stable_partition(sides: tuple[int, ...], mu: tuple[int, ...
 def stable_partition_count(graph: Graph, mu) -> int:
     """Number of unordered stable partitions of type `mu`.
 
-    Multipartite graphs use the side-distribution fast path; everything else
-    falls back to backtracking. Returns 0 when the weights disagree.
+    Reads the graph's count table, filling the entry on first use:
+    multipartite graphs by the side-distribution fast path, everything else
+    by backtracking. Returns 0 when the weights disagree.
     """
     mu = aspartition(mu)
     if mu.n != graph.size:
         return 0
-    sizes = graph.side_sizes()
-    if sizes is not None:
-        return multipartite_stable_partition_count(sizes, mu.parts)
-    return stable_partition_count_backtracking(graph, mu)
+    count = graph._counts.get(mu)
+    if count is None:
+        sizes = graph.side_sizes()
+        if sizes is not None:
+            count = multipartite_stable_partition_count(sizes, mu.parts)
+        else:
+            count = stable_partition_count_backtracking(graph, mu)
+        graph._counts[mu] = count
+    return count
 
 
 def semi_ordered_count(graph: Graph, mu) -> int:

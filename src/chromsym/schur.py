@@ -231,31 +231,20 @@ def coeff_report(graph: Graph, order, lam, route: str = "auto") -> CoeffReport:
     return CoeffReport(lam, pos - neg, "tabloid", (pos, neg))
 
 
-_expansion_cache: dict = {}
-
-
-def expand_schur(
-    graph: Graph, order=None, route: str = "auto", memoize: bool = False
-) -> SymFunc:
+def expand_schur(graph: Graph, order=None, route: str = "auto") -> SymFunc:
     """Full Schur expansion of the chromatic symmetric function of `graph`.
 
-    Zero coefficients are omitted. `memoize` keeps results keyed by the edge
-    set; off by default since scans rarely repeat a graph.
+    Zero coefficients are omitted. The oracle route converts the whole
+    monomial expansion in one Kostka solve.
     """
-    key = None
-    if memoize:
-        key = (graph.size, tuple(graph.edges()), route)
-        if key in _expansion_cache:
-            return _expansion_cache[key]
+    if route == "oracle":
+        return monomial_to_schur(x_in_monomial(graph))
     coeffs = {}
     for lam in partitions_of(graph.size):
         value = coeff_report(graph, order, lam, route).value
         if value:
             coeffs[lam] = value
-    result = SymFunc("schur", graph.size, coeffs)
-    if memoize:
-        _expansion_cache[key] = result
-    return result
+    return SymFunc("schur", graph.size, coeffs)
 
 
 def positivity_scan(

@@ -31,7 +31,6 @@ from chromsym import (
     nsp_bruteforce,
     nsp_chain_union,
     partitions_of,
-    poset_from_covers,
     positivity_scan,
     psi_involution,
     specialize_ones,
@@ -275,7 +274,7 @@ def test_criterion_10_specialization_referee():
             func = expand_schur(graph, poset)
             for q in range(5):
                 ok = ok and specialize_ones(func, q) == coloring_count(graph, q)
-    example = poset_from_covers(
+    example = Poset(
         6, [(0, 1), (1, 5), (0, 2), (2, 4), (3, 2), (1, 4)], labels=list("abcdef")
     )
     graph = incomparability_graph(example)

@@ -1,5 +1,6 @@
 import pytest
 
+import chromsym.schur as schur
 from chromsym import (
     CapExceededError,
     LengthOneError,
@@ -129,6 +130,17 @@ def test_verify_full_scan_mode():
         verify_classification((8, 8), "full_scan", cap=12)
     with pytest.raises(ValueError):
         verify_classification((3, 3), "bogus")
+
+
+def test_full_scan_cross_checks_closed_forms(monkeypatch):
+    exact = schur.coeff_closed_32beta
+    monkeypatch.setattr(
+        schur, "coeff_closed_32beta", lambda beta, lam: exact(beta, lam) + 1
+    )
+    # off by one upward keeps every coefficient nonnegative, so only the
+    # comparison with the tail enumeration can catch it
+    assert classify((3, 2, 2)).verdict == "SchurPositive"
+    assert not verify_classification((3, 2, 2), "full_scan").verified
 
 
 def test_full_scan_agrees_with_classify_up_to_seven():

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -208,3 +209,21 @@ def test_usage_error_exit_code_from_argparse(capsys):
 def test_bad_lambda(capsys):
     code, _, err = run(capsys, "nsp", "--lambda", "2,x")
     assert code == 2 and "comma-separated" in err
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ('{"multipartite":[0,2]}', "--graph-json:"),
+        ('{"multipartite":"ab"}', "--graph-json:"),
+        ('{"n":3,"edges":5}', "--graph-json:"),
+        ('{"n":"x","edges":[]}', "--graph-json:"),
+        ("[1,2]", "--graph-json: expected a JSON object, got list"),
+    ],
+)
+def test_malformed_graph_json_is_a_usage_error(capsys, monkeypatch, document, message):
+    monkeypatch.setattr("sys.stdin", io.StringIO(document))
+    code, out, err = run(capsys, "expand", "--graph-json", "-")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"chromsym: error: {message}")

@@ -169,7 +169,7 @@ def test_specialization_matches_colorings_in_monomial_basis():
 
 
 def test_specialization_matches_colorings_in_schur_basis():
-    c5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     schur = monomial_to_schur(x_in_monomial(c5))
     for q in range(5):
         assert specialize_ones(schur, q) == coloring_count(c5, q)

@@ -1,7 +1,10 @@
 import itertools
+import sys
+import threading
 
 import pytest
 
+import chromsym.posets as posets
 from chromsym import (
     CapExceededError,
     CycleError,
@@ -15,7 +18,6 @@ from chromsym import (
     multipartite_stable_partition_count,
     niceness_violation,
     partitions_of,
-    poset_from_covers,
     semi_ordered_count,
     stable_partition_count,
     stable_partition_count_backtracking,
@@ -26,7 +28,7 @@ from chromsym import (
 
 def example_poset():
     """Six elements a..f with covers a<b<f, a<c<e, d<c, b<e."""
-    return poset_from_covers(
+    return Poset(
         6, [(0, 1), (1, 5), (0, 2), (2, 4), (3, 2), (1, 4)], labels=list("abcdef")
     )
 
@@ -43,15 +45,15 @@ def test_poset_from_covers_closure():
 
 def test_poset_cycle_detection():
     with pytest.raises(CycleError):
-        poset_from_covers(2, [(0, 1), (1, 0)])
+        Poset(2, [(0, 1), (1, 0)])
     with pytest.raises(CycleError):
-        poset_from_covers(3, [(0, 1), (1, 2), (2, 0)])
+        Poset(3, [(0, 1), (1, 2), (2, 0)])
     with pytest.raises(CycleError):
-        poset_from_covers(1, [(0, 0)])
+        Poset(1, [(0, 0)])
 
 
 def test_poset_antichain_and_chain():
-    antichain = poset_from_covers(4, [])
+    antichain = Poset(4, [])
     assert incomparability_graph(antichain).edges() == [
         (u, v) for u in range(4) for v in range(u + 1, 4)
     ]
@@ -74,17 +76,17 @@ def test_poset_json_round_trip():
 
 
 def test_graph_json_round_trip():
-    g = Graph.from_edges(4, [(0, 2), (1, 3)])
+    g = Graph(4, [(0, 2), (1, 3)])
     assert Graph.from_json(g.to_json()).edges() == g.edges()
 
 
 def test_graph_validation():
     with pytest.raises(ValueError):
-        Graph.from_edges(2, [(0, 0)])
+        Graph(2, [(0, 0)])
     with pytest.raises(ValueError):
-        Graph.from_edges(2, [(0, 5)])
+        Graph(2, [(0, 5)])
     with pytest.raises(CapExceededError):
-        Graph.from_edges(100, [])
+        Graph(100, [])
 
 
 def test_multipartite_shapes():
@@ -141,7 +143,7 @@ def test_fast_path_agrees_with_backtracking():
     for n in range(1, 11):
         for lam in partitions_of(n):
             g, _, _ = multipartite(lam)
-            bare = Graph.from_edges(g.size, g.edges())
+            bare = Graph(g.size, g.edges())
             for mu in partitions_of(n):
                 fast = multipartite_stable_partition_count(lam.parts, mu.parts)
                 slow = stable_partition_count_backtracking(bare, mu)
@@ -181,6 +183,52 @@ def test_semi_ordered_divisible_by_plain_count():
                 assert semi_ordered_count(g, mu) % plain == 0
 
 
+def test_count_table_counts_each_type_once_per_graph(monkeypatch):
+    calls = []
+    backtrack = posets.stable_partition_count_backtracking
+
+    def recording_backtrack(graph, mu):
+        calls.append(mu)
+        return backtrack(graph, mu)
+
+    monkeypatch.setattr(posets, "stable_partition_count_backtracking", recording_backtrack)
+    c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    assert stable_partition_count(c5, (2, 2, 1)) == 5
+    assert semi_ordered_count(c5, (2, 2, 1)) == 10
+    assert calls == [(2, 2, 1)]
+    # another graph on the same edges keeps its own table
+    assert stable_partition_count(Graph(5, c5.edges()), (2, 2, 1)) == 5
+    assert calls == [(2, 2, 1)] * 2
+    # multipartite graphs fill their table without backtracking
+    g32, _, _ = multipartite((3, 2))
+    assert stable_partition_count(g32, (2, 2, 1)) == 3
+    assert len(calls) == 2
+
+
+def test_count_table_shared_across_threads():
+    poset = Poset(8, [(i, j) for i in range(8) for j in range(i + 3, 8)])
+    graph = incomparability_graph(poset)
+    fresh = Graph(graph.size, graph.edges())
+    expected = {mu: stable_partition_count_backtracking(fresh, mu) for mu in partitions_of(8)}
+    results = []
+
+    def worker():
+        results.append({mu: stable_partition_count(graph, mu) for mu in partitions_of(8)})
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * 8
+
+
 def test_has_stable_partition():
     g, _, _ = multipartite((5, 5, 5, 4, 3, 3))
     assert has_stable_partition(g, (5, 5, 5, 4, 3, 3))
@@ -193,7 +241,7 @@ def test_has_stable_partition():
 
 def test_has_stable_partition_generic_graph():
     # 5-cycle: stable pairs are the non-adjacent ones
-    c5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     assert has_stable_partition(c5, (2, 2, 1))
     assert not has_stable_partition(c5, (3, 2))
 
@@ -218,7 +266,7 @@ def test_niceness_violation_length_bound():
 
 def test_stable_sets_count_complete_graph():
     # antichain poset gives the complete graph: only singletons are stable
-    g = incomparability_graph(poset_from_covers(5, []))
+    g = incomparability_graph(Poset(5, []))
     assert sum(1 for _ in stable_sets(g, 1)) == 5
     assert list(stable_sets(g, 2)) == []
     assert list(itertools.islice(stable_sets(g, 0), 5)) == [frozenset()]

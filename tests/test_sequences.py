@@ -7,12 +7,11 @@ from chromsym import (
     nsp_bruteforce,
     nsp_chain_union,
     partitions_of,
-    poset_from_covers,
 )
 
 
 def example_poset():
-    return poset_from_covers(
+    return Poset(
         6, [(0, 1), (1, 5), (0, 2), (2, 4), (3, 2), (1, 4)], labels=list("abcdef")
     )
 

@@ -17,7 +17,6 @@ from chromsym import (
     incomparability_graph,
     multipartite,
     partitions_of,
-    poset_from_covers,
     psi_involution,
     render_ascii,
     signed_g_tabloid_counts,
@@ -27,7 +26,7 @@ from chromsym import (
 
 
 def example_poset():
-    return poset_from_covers(
+    return Poset(
         6, [(0, 1), (1, 5), (0, 2), (2, 4), (3, 2), (1, 4)], labels=list("abcdef")
     )
 
@@ -166,8 +165,8 @@ def test_g_tabloid_size_and_order_errors():
     # edgeless graph with an antichain order: non-adjacent pair is incomparable
     from chromsym import Graph
 
-    bare = Graph.from_edges(2, [])
-    antichain = poset_from_covers(2, [])
+    bare = Graph(2, [])
+    antichain = Poset(2, [])
     with pytest.raises(OrderIncompatibleError):
         enumerate_srh_g_tabloids(bare, antichain, (1, 1))
 
@@ -285,7 +284,7 @@ def test_total_order_fallback():
     # a 5-cycle is not an incomparability graph; the index order still works
     from chromsym import Graph
 
-    c5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     tabs = enumerate_srh_g_tabloids(c5, None, (2, 2, 1))
     for t in tabs:
         check_srh_g_tabloid(t, c5, None)
