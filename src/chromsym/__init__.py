@@ -88,6 +88,7 @@ from .tabloids import (
     enumerate_srh_tabloids,
     psi_involution,
     render_ascii,
+    signed_content_census,
     signed_g_tabloid_counts,
     tail_head_split,
 )

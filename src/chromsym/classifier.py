@@ -159,8 +159,9 @@ def _verify_scan(report: ClassificationReport, cap: int) -> bool:
     scan = positivity_scan(graph, poset, cap)
     ok = scan.all_nonnegative == (report.verdict == SCHUR_POSITIVE)
     if ok and _closed_family(graph):
-        # closed-family graph: the closed forms must match an enumeration route
-        ok = expand_schur(graph, poset, "tail") == expand_schur(graph, poset, "closed")
+        # the scan read the closed forms; they must match the count table
+        # weighted by the signed tabloid census, which shares no code with them
+        ok = expand_schur(graph, poset, "ww") == expand_schur(graph, poset, "closed")
     return ok
 
 

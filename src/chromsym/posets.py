@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import factorial
 
-from ._util import iter_bits
+from ._util import iter_bits, json_array, json_fields, json_int, json_ints
 from .errors import CapExceededError, CycleError, EmptyPartitionError
 from .partitions import Partition, aspartition, partitions_of, dominates
 
@@ -125,7 +125,17 @@ class Poset:
 
     @classmethod
     def from_json(cls, data: dict) -> "Poset":
-        return cls(data["n"], data.get("covers", []), data.get("labels"))
+        """Read {"n": int, "covers": [[low, high], ...], "labels": [str, ...]};
+        unknown keys and non-integer numbers raise."""
+        json_fields(data, ("n",), ("covers", "labels"))
+        n = json_int(data["n"], "n")
+        covers = json_array(data.get("covers", []), "covers")
+        labels = data.get("labels")
+        if labels is not None and not all(
+            isinstance(x, str) for x in json_array(labels, "labels")
+        ):
+            raise TypeError("labels must be strings")
+        return cls(n, [json_ints(c, "a cover", 2) for c in covers], labels)
 
     def __repr__(self) -> str:
         return f"Poset(size={self.size}, covers={list(self.covers)})"
@@ -181,7 +191,12 @@ class Graph:
 
     @classmethod
     def from_json(cls, data: dict) -> "Graph":
-        return cls(data["n"], data.get("edges", []))
+        """Read {"n": int, "edges": [[u, v], ...]}; unknown keys and
+        non-integer numbers raise."""
+        json_fields(data, ("n",), ("edges",))
+        n = json_int(data["n"], "n")
+        edges = json_array(data.get("edges", []), "edges")
+        return cls(n, [json_ints(e, "an edge", 2) for e in edges])
 
     def __repr__(self) -> str:
         return f"Graph(size={self.size}, edges={self.edges()})"

@@ -2,8 +2,9 @@
 
 Four routes compute the same numbers and check each other:
 
-* ``ww``      - signed sum over all special rim hook tabloids of the shape,
-                weighted by semi-ordered stable partition counts;
+* ``ww``      - signed content census of the shape's special rim hook
+                tabloids, weighted by semi-ordered stable partition counts
+                from the graph's count table;
 * ``tabloid`` - signed count of vertex-filled tabloids under a compatible
                 vertex order;
 * ``tail``    - the tabloid route restricted to tabloids whose tail sequence
@@ -13,6 +14,10 @@ Four routes compute the same numbers and check each other:
 
 Closed forms cover the two multipartite families whose sides are all of size
 2, or one side of size 3 and the rest of size 2.
+
+The ``auto`` route picks ``closed`` for those two families and ``ww`` for
+every other graph; ``tabloid`` and ``tail`` enumerate filled tabloids and
+stay as explicit cross-check routes.
 """
 
 from __future__ import annotations
@@ -22,11 +27,11 @@ from math import perm
 
 from .errors import BadShapeError, CapExceededError, OrderIncompatibleError
 from .oracle import DEFAULT_VERTEX_CAP, monomial_to_schur, x_in_monomial
-from .partitions import Partition, aspartition, partitions_of, sort_to_partition
+from .partitions import Partition, aspartition, partitions_of
 from .posets import Graph, Poset, incomparability_graph, semi_ordered_count
 from .sequences import nsp_chain_union
 from .symfunc import SymFunc
-from .tabloids import enumerate_srh_tabloids, signed_g_tabloid_counts
+from .tabloids import signed_content_census, signed_g_tabloid_counts
 
 ROUTES = ("auto", "ww", "tabloid", "tail", "closed", "oracle")
 
@@ -74,12 +79,10 @@ def coeff_ww(graph: Graph, lam) -> int:
     lam = aspartition(lam)
     if lam.n != graph.size:
         return 0
-    total = 0
-    for t in enumerate_srh_tabloids(lam):
-        so = semi_ordered_count(graph, sort_to_partition(t.content))
-        if so:
-            total += t.sign * so
-    return total
+    return sum(
+        sign * semi_ordered_count(graph, mu)
+        for mu, sign in signed_content_census(lam).items()
+    )
 
 
 def coeff_tabloids(graph: Graph, order, lam) -> int:
@@ -187,22 +190,20 @@ def _poset_for_sides(graph: Graph) -> Poset:
     return Poset.chain_union([len(s) for s in graph.sides])
 
 
-def _pick_route(graph: Graph, order) -> str:
-    if _closed_family(graph):
-        return "closed"
-    if isinstance(order, Poset) or graph.sides is not None:
-        return "tail"
-    return "tabloid"
+def _pick_route(graph: Graph, route: str) -> str:
+    """Resolve ``auto``: closed forms where they apply, ``ww`` otherwise."""
+    if route not in ROUTES:
+        raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
+    if route != "auto":
+        return route
+    return "closed" if _closed_family(graph) else "ww"
 
 
 def coeff_report(graph: Graph, order, lam, route: str = "auto") -> CoeffReport:
     """Compute one coefficient, recording the route and, where the route
     enumerates tabloids, the positive and negative counts."""
-    if route not in ROUTES:
-        raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
+    route = _pick_route(graph, route)
     lam = aspartition(lam)
-    if route == "auto":
-        route = _pick_route(graph, order)
     if route == "ww":
         return CoeffReport(lam, coeff_ww(graph, lam), "ww")
     if route == "oracle":
@@ -237,6 +238,7 @@ def expand_schur(graph: Graph, order=None, route: str = "auto") -> SymFunc:
     Zero coefficients are omitted. The oracle route converts the whole
     monomial expansion in one Kostka solve.
     """
+    route = _pick_route(graph, route)
     if route == "oracle":
         return monomial_to_schur(x_in_monomial(graph))
     coeffs = {}
@@ -253,8 +255,9 @@ def positivity_scan(
     """Scan all shapes in reverse-lexicographic order for a negative coefficient."""
     if graph.size > cap:
         raise CapExceededError(f"graph has {graph.size} vertices, cap is {cap}")
+    route = _pick_route(graph, "auto")
     for lam in partitions_of(graph.size):
-        value = coeff_report(graph, order, lam, "auto").value
+        value = coeff_report(graph, order, lam, route).value
         if value < 0:
             return ScanResult(False, (lam, value))
     return ScanResult(True, None)

@@ -15,6 +15,7 @@ chosen vertex order.
 from __future__ import annotations
 
 from functools import cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 from ._util import iter_bits
@@ -212,6 +213,27 @@ def _tilings(shape: tuple[int, ...]) -> tuple:
         for tail in _tilings(rest):
             out.append((hook,) + tail)
     return tuple(out)
+
+
+@cache
+def _census(shape: tuple[int, ...]) -> MappingProxyType:
+    census = {}
+    for tiling in _tilings(shape):
+        mu = Partition(sorted((len(cells) for cells in tiling), reverse=True))
+        # a hook climbs from its first row to its last, one N-step per row
+        n_steps = sum(cells[0][0] - cells[-1][0] for cells in tiling)
+        census[mu] = census.get(mu, 0) + (-1 if n_steps % 2 else 1)
+    return MappingProxyType({mu: s for mu, s in census.items() if s})
+
+
+def signed_content_census(lam) -> MappingProxyType:
+    """{type: sum of signs} over the special rim hook tabloids of shape `lam`,
+    grouped by sorted content; types whose signs cancel are left out.
+
+    By Egecioglu-Remmel this is the column `lam` of the inverse Kostka
+    matrix. Cached per shape; no tabloid objects are built.
+    """
+    return _census(aspartition(lam).parts)
 
 
 def count_srh_tabloids(lam) -> int:

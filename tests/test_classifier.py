@@ -138,7 +138,8 @@ def test_full_scan_cross_checks_closed_forms(monkeypatch):
         schur, "coeff_closed_32beta", lambda beta, lam: exact(beta, lam) + 1
     )
     # off by one upward keeps every coefficient nonnegative, so only the
-    # comparison with the tail enumeration can catch it
+    # comparison with the ww route (count table times tabloid census) can
+    # catch it
     assert classify((3, 2, 2)).verdict == "SchurPositive"
     assert not verify_classification((3, 2, 2), "full_scan").verified
 

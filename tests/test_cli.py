@@ -227,3 +227,89 @@ def test_malformed_graph_json_is_a_usage_error(capsys, monkeypatch, document, me
     assert code == 2 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"chromsym: error: {message}")
+
+
+@pytest.mark.parametrize(
+    "flag, document, message",
+    [
+        ("--graph-json", '{"multipartite":[2.5]}', "multipartite entry must be an integer"),
+        ("--graph-json", '{"n":true,"edges":[]}', "n must be an integer"),
+        ("--poset-json", '{"n":3,"edges":[[0,1]]}', 'unknown key "edges"'),
+    ],
+    ids=["fractional-side", "boolean-n", "poset-with-edges"],
+)
+def test_non_integer_numbers_and_unknown_keys_are_usage_errors(
+    capsys, monkeypatch, flag, document, message
+):
+    monkeypatch.setattr("sys.stdin", io.StringIO(document))
+    code, out, err = run(capsys, "expand", flag, "-")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"chromsym: error: {flag}: {message}")
+
+
+C5 = {"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]}
+POSET6 = {
+    "n": 6,
+    "covers": [[0, 1], [1, 5], [0, 2], [2, 4], [3, 2], [1, 4]],
+    "labels": ["a", "b", "c", "d", "e", "f"],
+}
+
+
+def unit_interval_order(reach):
+    """Natural unit interval order: i < j iff j > reach[i]."""
+    n = len(reach)
+    return {"n": n, "covers": [[i, j] for i in range(n) for j in range(reach[i] + 1, n)]}
+
+
+def test_auto_never_enumerates_filled_tabloids(capsys, monkeypatch, tmp_path):
+    from chromsym import schur, tabloids
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("auto enumerated filled tabloids")
+
+    monkeypatch.setattr(tabloids, "signed_g_tabloid_counts", refuse)
+    monkeypatch.setattr(schur, "signed_g_tabloid_counts", refuse)
+    poset = tmp_path / "p.json"
+    poset.write_text(json.dumps(POSET6))
+    c5 = tmp_path / "c5.json"
+    c5.write_text(json.dumps(C5))
+    sources = [
+        ("--multipartite", "3,3", "2,2,1,1"),
+        ("--multipartite", "4,2,1", "3,2,1,1"),
+        ("--poset-json", str(poset), "2,2,1,1"),
+        ("--graph-json", str(c5), "2,2,1"),
+    ]
+    for flag, value, shape in sources:
+        code, out, _ = run(capsys, "expand", flag, value)
+        assert code == 0 and json.loads(out)["coeffs"]
+        code, out, _ = run(capsys, "coeff", flag, value, "--lambda", shape)
+        data = json.loads(out)
+        assert code == 0 and data["route"] == "ww" and data["tabloid_counts"] is None
+    for lam in ("3,3", "4,2,1", "3,2,2", "2,2,2,2"):
+        code, out, _ = run(capsys, "verify", "--lambda", lam, "--mode", "full")
+        assert code == 0 and json.loads(out)["verified"] is True
+    # the patch is in force: the explicit tail route does reach it
+    with pytest.raises(AssertionError):
+        run(capsys, "expand", "--multipartite", "3,3", "--route", "tail")
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--multipartite", "3,3,2"),
+        ("--multipartite", "4,3,1"),
+        ("--multipartite", "2,2,2,1,1"),
+        ("--poset-json", unit_interval_order((2, 3, 4, 5, 6, 7, 7, 7))),
+    ],
+    ids=["K_332", "K_431", "K_22211", "uio8"],
+)
+def test_auto_expansion_is_byte_identical_to_tail(capsys, tmp_path, flag, value):
+    if flag == "--poset-json":
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(value))
+        value = str(path)
+    for fmt in ("json", "csv"):
+        auto = run(capsys, "expand", flag, value, "--format", fmt)
+        tail = run(capsys, "expand", flag, value, "--format", fmt, "--route", "tail")
+        assert auto == tail and auto[0] == 0

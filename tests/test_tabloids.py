@@ -4,6 +4,7 @@ import pytest
 
 from chromsym import (
     Diagram,
+    KostkaMatrix,
     NoAscentError,
     OrderIncompatibleError,
     Partition,
@@ -19,6 +20,7 @@ from chromsym import (
     partitions_of,
     psi_involution,
     render_ascii,
+    signed_content_census,
     signed_g_tabloid_counts,
     sort_to_partition,
     tail_head_split,
@@ -368,3 +370,19 @@ def test_content_reads_bottom_to_top():
         lengths = [h.length for h in t.hooks]
         assert list(t.content) == lengths
         assert sort_to_partition(t.content).n == 7
+
+
+def test_signed_content_census_is_the_inverse_kostka_matrix():
+    for n in range(1, 9):
+        inverse = KostkaMatrix(n).inverse()
+        for lam in partitions_of(n):
+            from_objects = defaultdict(int)
+            for t in enumerate_srh_tabloids(lam):
+                from_objects[sort_to_partition(t.content)] += t.sign
+            census = dict(signed_content_census(lam))
+            assert census == {mu: s for mu, s in from_objects.items() if s}, lam
+            assert census == {
+                mu: inverse[(mu, lam)]
+                for mu in partitions_of(n)
+                if inverse.get((mu, lam))
+            }, lam
