@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .errors import CapExceededError, LengthOneError, PositiveFamilyError
-from .oracle import DEFAULT_VERTEX_CAP
+from .errors import LengthOneError, PositiveFamilyError
 from .partitions import Partition, aspartition, dominates, partitions_of
 from .posets import (
     multipartite,
@@ -151,12 +150,9 @@ def _verify_witness(report: ClassificationReport) -> bool:
     return False
 
 
-def _verify_scan(report: ClassificationReport, cap: int) -> bool:
-    lam = report.type
-    if lam.n > cap:
-        raise CapExceededError(f"full scan of {lam.n} vertices exceeds cap {cap}")
-    graph, poset, _ = multipartite(lam)
-    scan = positivity_scan(graph, poset, cap)
+def _verify_scan(report: ClassificationReport) -> bool:
+    graph, poset, _ = multipartite(report.type)
+    scan = positivity_scan(graph, poset)
     ok = scan.all_nonnegative == (report.verdict == SCHUR_POSITIVE)
     if ok and _closed_family(graph):
         # the scan read the closed forms; they must match the count table
@@ -165,18 +161,17 @@ def _verify_scan(report: ClassificationReport, cap: int) -> bool:
     return ok
 
 
-def verify_classification(
-    lam, mode: str = "witness", cap: int = DEFAULT_VERTEX_CAP
-) -> ClassificationReport:
+def verify_classification(lam, mode: str = "witness") -> ClassificationReport:
     """Re-derive the verdict's evidence and set the `verified` flag.
 
     ``witness`` mode checks the dominance certificate (or, for the 3-and-2s
     family, that every closed-form coefficient is nonnegative). ``full_scan``
-    mode recomputes the whole expansion within the vertex cap.
+    mode recomputes the whole expansion, however many vertices K_lam has;
+    bounding that work is the caller's decision (the CLI's ``--max-vertices``).
     """
     if mode not in ("witness", "full_scan"):
         raise ValueError(f"mode must be 'witness' or 'full_scan', got {mode!r}")
     report = classify(lam)
     if mode == "witness":
         return replace(report, verified=_verify_witness(report))
-    return replace(report, verified=_verify_scan(report, cap))
+    return replace(report, verified=_verify_scan(report))

@@ -4,6 +4,10 @@ Subcommands: expand, coeff, classify, verify, tabloids, nsp, oracle-check.
 JSON output is canonical (sorted keys, no spaces, decimal-string integers)
 so that parsing and re-serializing an emitted document is byte-identical.
 Exit codes: 0 success, 1 verification failure, 2 usage error.
+
+The size budget lives here and nowhere else: library functions compute what
+they are asked, and every command that does exhaustive work checks its size
+against ``--max-vertices`` once, before that work starts.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from ._util import json_fields, json_ints
 from .classifier import classify, verify_classification
 from .errors import ChromsymError
 from .oracle import (
-    DEFAULT_VERTEX_CAP,
     KostkaMatrix,
     coloring_count,
     enumerate_ssyt,
@@ -32,9 +35,9 @@ from .posets import Graph, Poset, incomparability_graph, multipartite
 from .schur import ROUTES, coeff_report, expand_schur
 from .sequences import nsp_chain_union
 from .symfunc import SymFunc
-from .tabloids import count_srh_tabloids, enumerate_srh_tabloids, render_ascii
+from .tabloids import enumerate_srh_tabloids, render_ascii
 
-DEFAULT_MAX_TABLOIDS = 10000
+DEFAULT_MAX_VERTICES = 12
 ENV_MAX_VERTICES = "CHROMSYM_MAX_VERTICES"
 ROUTE_HELP = (
     "coefficient route (default auto: closed forms for sides (2^b) and "
@@ -49,28 +52,36 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One resolved invocation: command, graph source, format, caps, output.
+    """One resolved invocation: command, graph source, format, size budget,
+    route, output.
 
-    Caps must be positive and at most one graph source may be given (commands
-    that need a graph require exactly one; the loader enforces that part).
+    ``max_vertices`` is the one size budget (``--max-vertices``, else
+    ``CHROMSYM_MAX_VERTICES``, else ``DEFAULT_MAX_VERTICES``) and must be
+    positive. It bounds the vertices of a graph or type and the cells of a
+    shape. At most one graph
+    source may be given (commands that need a graph require exactly one; the
+    loader enforces that part).
     """
 
     command: str
     graph_source: tuple[str, str] | None
     fmt: str
     max_vertices: int
-    max_tabloids: int
     route: str
     output: str | None
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
+        for dest, value in vars(args).items():
+            # argparse (Python 3.11) reads `--flag=--` as an empty list
+            if value == []:
+                flag = "--lambda" if dest == "lam" else "--" + dest.replace("_", "-")
+                raise UsageError(f"{flag}: expected a value, got '--'")
         max_vertices = getattr(args, "max_vertices", None)
         if max_vertices is None:
             max_vertices = _default_max_vertices()
-        max_tabloids = getattr(args, "max_tabloids", DEFAULT_MAX_TABLOIDS)
-        if max_vertices < 1 or max_tabloids < 1:
-            raise UsageError("caps must be positive")
+        if max_vertices < 1:
+            raise UsageError(f"--max-vertices must be positive, got {max_vertices}")
         sources = [
             (flag, value)
             for flag, value in (
@@ -89,7 +100,6 @@ class RunConfig:
             graph_source=sources[0] if sources else None,
             fmt=getattr(args, "format", "json"),
             max_vertices=max_vertices,
-            max_tabloids=max_tabloids,
             route=getattr(args, "route", "auto"),
             output=getattr(args, "output", None),
         )
@@ -99,14 +109,14 @@ def canonical_json(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _parse_parts(text: str) -> list[int]:
+def _parse_parts(text: str, flag: str) -> list[int]:
     text = text.strip()
     if not text:
         return []
     try:
         return [int(x) for x in text.split(",")]
     except ValueError as exc:
-        raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
+        raise UsageError(f"{flag}: expected comma-separated integers, got {text!r}") from exc
 
 
 def _read_json(path: str) -> dict:
@@ -122,14 +132,11 @@ def _read_json(path: str) -> dict:
 def _default_max_vertices() -> int:
     raw = os.environ.get(ENV_MAX_VERTICES)
     if raw is None:
-        return DEFAULT_VERTEX_CAP
+        return DEFAULT_MAX_VERTICES
     try:
-        value = int(raw)
+        return int(raw)
     except ValueError as exc:
         raise UsageError(f"{ENV_MAX_VERTICES} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise UsageError(f"{ENV_MAX_VERTICES} must be positive, got {value}")
-    return value
 
 
 def _load_graph(config: RunConfig) -> tuple[Graph, Poset | None, dict]:
@@ -140,7 +147,7 @@ def _load_graph(config: RunConfig) -> tuple[Graph, Poset | None, dict]:
         )
     flag, value = config.graph_source
     if flag == "--multipartite":
-        parts = _parse_parts(value)
+        parts = _parse_parts(value, flag)
         if not parts:
             raise UsageError("--multipartite needs at least one side size")
         try:
@@ -176,16 +183,16 @@ def _emit(text: str, output: str | None):
         sys.stdout.write(text)
 
 
-def _check_vertex_cap(graph: Graph, cap: int):
-    if graph.size > cap:
-        raise UsageError(
-            f"graph has {graph.size} vertices, above --max-vertices {cap}"
-        )
+def _check_size(n: int, config: RunConfig):
+    """Refuse, before any work, a graph or type of n vertices or a shape of n
+    cells that is over the size budget."""
+    if n > config.max_vertices:
+        raise UsageError(f"size {n} is above --max-vertices {config.max_vertices}")
 
 
 def _cmd_expand(args, config: RunConfig) -> int:
     graph, poset, source = _load_graph(config)
-    _check_vertex_cap(graph, config.max_vertices)
+    _check_size(graph.size, config)
     if config.fmt == "ascii":
         raise UsageError("--format ascii is not supported for expand")
     func = expand_schur(graph, poset, config.route)
@@ -204,7 +211,7 @@ def _cmd_expand(args, config: RunConfig) -> int:
 
 def _cmd_coeff(args, config: RunConfig) -> int:
     graph, poset, source = _load_graph(config)
-    _check_vertex_cap(graph, config.max_vertices)
+    _check_size(graph.size, config)
     if config.fmt != "json":
         raise UsageError("coeff only supports --format json")
     report = coeff_report(graph, poset, _parse_lambda(args.lam), config.route)
@@ -214,20 +221,22 @@ def _cmd_coeff(args, config: RunConfig) -> int:
     return 0
 
 
-def _parse_lambda(text: str) -> Partition:
-    parts = _parse_parts(text)
+def _parse_lambda(text: str, flag: str = "--lambda") -> Partition:
+    parts = _parse_parts(text, flag)
     try:
         return Partition(sorted(parts, reverse=True))
     except ValueError as exc:
-        raise UsageError(f"--lambda: {exc}") from exc
+        raise UsageError(f"{flag}: {exc}") from exc
 
 
 def _cmd_classify(args, config: RunConfig) -> int:
     lam = _parse_lambda(args.lam)
+    if args.verify == "full":
+        _check_size(lam.n, config)
     try:
         if args.verify:
             mode = "witness" if args.verify == "witness" else "full_scan"
-            report = verify_classification(lam, mode, cap=config.max_vertices)
+            report = verify_classification(lam, mode)
         else:
             report = classify(lam)
     except ChromsymError as exc:
@@ -238,9 +247,11 @@ def _cmd_classify(args, config: RunConfig) -> int:
 
 def _cmd_verify(args, config: RunConfig) -> int:
     lam = _parse_lambda(args.lam)
+    if args.mode == "full":
+        _check_size(lam.n, config)
     mode = "witness" if args.mode == "witness" else "full_scan"
     try:
-        report = verify_classification(lam, mode, cap=config.max_vertices)
+        report = verify_classification(lam, mode)
     except ChromsymError as exc:
         raise UsageError(str(exc)) from exc
     _emit(canonical_json(report.to_json()), config.output)
@@ -248,12 +259,8 @@ def _cmd_verify(args, config: RunConfig) -> int:
 
 
 def _cmd_tabloids(args, config: RunConfig) -> int:
-    shape = _parse_lambda(args.shape)
-    total = count_srh_tabloids(shape)
-    if total > config.max_tabloids:
-        raise UsageError(
-            f"shape has {total} tabloids, above --max-tabloids {config.max_tabloids}"
-        )
+    shape = _parse_lambda(args.shape, "--shape")
+    _check_size(shape.n, config)
     tabloids = enumerate_srh_tabloids(shape)
     if config.fmt == "ascii":
         blocks = []
@@ -267,7 +274,7 @@ def _cmd_tabloids(args, config: RunConfig) -> int:
         raise UsageError("tabloids supports --format json or ascii")
     payload = {
         "shape": shape.to_json(),
-        "count": total,
+        "count": len(tabloids),
         "tabloids": [t.to_json() for t in tabloids],
     }
     _emit(canonical_json(payload), config.output)
@@ -400,7 +407,10 @@ def _add_common_flags(sub, formats=("json",)):
         "--max-vertices",
         type=int,
         default=None,
-        help=f"vertex cap (default {DEFAULT_VERTEX_CAP}, env {ENV_MAX_VERTICES})",
+        help=(
+            "size budget: vertices of the graph or type, cells of the shape "
+            f"(default {DEFAULT_MAX_VERTICES}, env {ENV_MAX_VERTICES})"
+        ),
     )
 
 
@@ -439,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tabloids", help="list special rim hook tabloids of a shape")
     _add_common_flags(p, formats=("json", "ascii"))
     p.add_argument("--shape", required=True, help="shape, e.g. 4,2,2")
-    p.add_argument("--max-tabloids", type=int, default=DEFAULT_MAX_TABLOIDS)
     p.set_defaults(func=_cmd_tabloids)
 
     p = sub.add_parser("nsp", help="spanning non-increasing sequence count of K_lambda")

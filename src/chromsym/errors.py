@@ -34,7 +34,7 @@ class BadShapeError(ChromsymError, ValueError):
 
 
 class CapExceededError(ChromsymError, RuntimeError):
-    """An input exceeds the configured size cap for exhaustive work."""
+    """A poset or graph exceeds the 64-element bitmask representation."""
 
 
 class PositiveFamilyError(ChromsymError, ValueError):

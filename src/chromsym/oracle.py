@@ -12,12 +12,10 @@ from __future__ import annotations
 from functools import cache
 from math import factorial
 
-from .errors import CapExceededError, UnequalWeightError
+from .errors import UnequalWeightError
 from .partitions import Partition, aspartition, partitions_of
 from .posets import Graph, semi_ordered_count
 from .symfunc import SymFunc
-
-DEFAULT_VERTEX_CAP = 12
 
 
 class SSYT:
@@ -177,7 +175,7 @@ class KostkaMatrix:
         return inv
 
 
-def x_in_monomial(graph: Graph, cap: int = DEFAULT_VERTEX_CAP) -> SymFunc:
+def x_in_monomial(graph: Graph) -> SymFunc:
     """Chromatic symmetric function in the monomial basis.
 
     The coefficient of m_mu is the semi-ordered stable-partition count of
@@ -185,14 +183,12 @@ def x_in_monomial(graph: Graph, cap: int = DEFAULT_VERTEX_CAP) -> SymFunc:
     coloring specialization test pins this bridge down.
     """
     n = graph.size
-    if n > cap:
-        raise CapExceededError(f"graph has {n} vertices, cap is {cap}")
     return SymFunc(
         "monomial", n, {mu: semi_ordered_count(graph, mu) for mu in partitions_of(n)}
     )
 
 
-def monomial_to_schur(func: SymFunc, cap: int = DEFAULT_VERTEX_CAP) -> SymFunc:
+def monomial_to_schur(func: SymFunc) -> SymFunc:
     """Solve f = sum c_lam s_lam by peeling in reverse-lexicographic order.
 
     Kostka unitriangularity makes this a forward substitution: when a
@@ -200,8 +196,6 @@ def monomial_to_schur(func: SymFunc, cap: int = DEFAULT_VERTEX_CAP) -> SymFunc:
     """
     if func.basis != "monomial":
         raise ValueError("input must be in the monomial basis")
-    if func.degree > cap:
-        raise CapExceededError(f"degree {func.degree} exceeds cap {cap}")
     residual = dict(func.coeffs)
     out = {}
     for lam in partitions_of(func.degree):
@@ -234,13 +228,11 @@ def schur_to_monomial(func: SymFunc) -> SymFunc:
     return SymFunc("monomial", func.degree, coeffs)
 
 
-def coloring_count(graph: Graph, q: int, cap: int = DEFAULT_VERTEX_CAP) -> int:
+def coloring_count(graph: Graph, q: int) -> int:
     """Number of proper colorings with colors 1..q, by direct enumeration."""
     if q < 0:
         raise ValueError("q must be nonnegative")
     n = graph.size
-    if n > cap:
-        raise CapExceededError(f"graph has {n} vertices, cap is {cap}")
     colors = [0] * n
 
     def rec(v):

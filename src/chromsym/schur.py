@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import perm
 
-from .errors import BadShapeError, CapExceededError, OrderIncompatibleError
-from .oracle import DEFAULT_VERTEX_CAP, monomial_to_schur, x_in_monomial
+from .errors import BadShapeError, OrderIncompatibleError
+from .oracle import monomial_to_schur, x_in_monomial
 from .partitions import Partition, aspartition, partitions_of
 from .posets import Graph, Poset, incomparability_graph, semi_ordered_count
 from .sequences import nsp_chain_union
@@ -87,11 +87,7 @@ def coeff_ww(graph: Graph, lam) -> int:
 
 def coeff_tabloids(graph: Graph, order, lam) -> int:
     """Signed count of vertex-filled tabloids of shape `lam`."""
-    lam = aspartition(lam)
-    if lam.n != graph.size:
-        return 0
-    pos, neg = signed_g_tabloid_counts(graph, order, lam)
-    return pos - neg
+    return coeff_report(graph, order, lam, "tabloid").value
 
 
 def coeff_tail(poset: Poset, lam) -> int:
@@ -99,12 +95,7 @@ def coeff_tail(poset: Poset, lam) -> int:
 
     The graph is the incomparability graph of `poset`, ordered by the poset.
     """
-    lam = aspartition(lam)
-    if lam.n != poset.size:
-        return 0
-    graph = incomparability_graph(poset)
-    pos, neg = signed_g_tabloid_counts(graph, poset, lam, tail_filter=True)
-    return pos - neg
+    return coeff_report(incomparability_graph(poset), poset, lam, "tail").value
 
 
 def coeff_closed_2beta(beta: int, c: int, d: int) -> int:
@@ -249,12 +240,8 @@ def expand_schur(graph: Graph, order=None, route: str = "auto") -> SymFunc:
     return SymFunc("schur", graph.size, coeffs)
 
 
-def positivity_scan(
-    graph: Graph, order=None, cap: int = DEFAULT_VERTEX_CAP
-) -> ScanResult:
+def positivity_scan(graph: Graph, order=None) -> ScanResult:
     """Scan all shapes in reverse-lexicographic order for a negative coefficient."""
-    if graph.size > cap:
-        raise CapExceededError(f"graph has {graph.size} vertices, cap is {cap}")
     route = _pick_route(graph, "auto")
     for lam in partitions_of(graph.size):
         value = coeff_report(graph, order, lam, route).value

@@ -11,10 +11,7 @@ from __future__ import annotations
 from functools import cache
 from math import comb
 
-from .errors import CapExceededError
 from .posets import Poset
-
-BRUTE_FORCE_CAP = 9
 
 
 def is_nonincreasing(seq, poset: Poset) -> bool:
@@ -23,13 +20,11 @@ def is_nonincreasing(seq, poset: Poset) -> bool:
     return all(not poset.leq(u, v) for u, v in zip(seq, seq[1:]))
 
 
-def nsp_bruteforce(poset: Poset, cap: int = BRUTE_FORCE_CAP) -> int:
+def nsp_bruteforce(poset: Poset) -> int:
     """Count spanning non-increasing sequences by dynamic programming
     over (visited set, last vertex) states; exact for any poset.
     """
     n = poset.size
-    if n > cap:
-        raise CapExceededError(f"poset has {n} elements, brute-force cap is {cap}")
     if n == 0:
         return 1
     full = (1 << n) - 1

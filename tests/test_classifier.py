@@ -2,7 +2,6 @@ import pytest
 
 import chromsym.schur as schur
 from chromsym import (
-    CapExceededError,
     LengthOneError,
     Partition,
     PositiveFamilyError,
@@ -126,8 +125,7 @@ def test_verify_full_scan_mode():
     assert verify_classification((3, 3), "full_scan").verified
     assert verify_classification((2, 2), "full_scan").verified
     assert verify_classification((4, 3), "full_scan").verified
-    with pytest.raises(CapExceededError):
-        verify_classification((8, 8), "full_scan", cap=12)
+    assert verify_classification((8, 8), "full_scan").verified
     with pytest.raises(ValueError):
         verify_classification((3, 3), "bogus")
 

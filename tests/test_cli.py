@@ -1,7 +1,11 @@
 import io
 import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chromsym.cli import canonical_json, main
 
@@ -104,6 +108,43 @@ def test_env_var_cap(capsys, monkeypatch):
     monkeypatch.setenv("CHROMSYM_MAX_VERTICES", "not a number")
     code, _, err = run(capsys, "expand", "--multipartite", "2,2")
     assert code == 2
+    for value in ("0", "-4"):
+        monkeypatch.setenv("CHROMSYM_MAX_VERTICES", value)
+        code, _, err = run(capsys, "expand", "--multipartite", "2,2")
+        assert code == 2 and "--max-vertices must be positive" in err
+    monkeypatch.delenv("CHROMSYM_MAX_VERTICES")
+    code, _, err = run(capsys, "expand", "--multipartite", "2,2", "--max-vertices", "0")
+    assert code == 2 and "--max-vertices must be positive" in err
+
+
+@pytest.mark.parametrize("command", ["expand", "coeff"])
+def test_oracle_route_past_twelve_vertices(capsys, command):
+    argv = [command, "--multipartite", "5,4,4", "--max-vertices", "13"]
+    if command == "coeff":
+        argv += ["--lambda", "3,3,3,2,2"]
+    code, oracle, err = run(capsys, *argv, "--route", "oracle")
+    assert code == 0 and err == ""
+    code, ww, _ = run(capsys, *argv, "--route", "ww")
+    assert code == 0
+    if command == "coeff":
+        oracle, ww = json.loads(oracle), json.loads(ww)
+        assert oracle.pop("route") == "oracle" and ww.pop("route") == "ww"
+    assert oracle == ww
+
+
+def test_full_scan_is_bounded_by_max_vertices_only(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--lambda", "6,6,6", "--mode", "full", "--max-vertices", "18"
+    )
+    assert code == 0 and '"verified":true' in out
+    for argv in (
+        ("verify", "--lambda", "8,8", "--mode", "full"),
+        ("classify", "--lambda", "8,8", "--verify", "full"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and "--max-vertices 12" in lines[0]
 
 
 def test_coeff(capsys):
@@ -170,9 +211,22 @@ def test_tabloids_json(capsys):
 
 def test_tabloids_cap(capsys):
     code, _, err = run(
-        capsys, "tabloids", "--shape", "1,1,1,1,1,1,1,1", "--max-tabloids", "10"
+        capsys, "tabloids", "--shape", "1,1,1,1,1,1,1,1", "--max-vertices", "7"
     )
-    assert code == 2 and "--max-tabloids" in err
+    assert code == 2 and "--max-vertices" in err
+
+
+def test_tabloids_cap_is_checked_before_tiling(capsys, monkeypatch):
+    from chromsym import tabloids
+
+    def refuse(shape):
+        raise AssertionError("tilings built for an over-budget shape")
+
+    monkeypatch.setattr(tabloids, "_tilings", refuse)
+    code, out, err = run(capsys, "tabloids", "--shape", ",".join(["1"] * 20))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and "--max-vertices" in lines[0]
 
 
 def test_nsp(capsys):
@@ -209,6 +263,8 @@ def test_usage_error_exit_code_from_argparse(capsys):
 def test_bad_lambda(capsys):
     code, _, err = run(capsys, "nsp", "--lambda", "2,x")
     assert code == 2 and "comma-separated" in err
+    code, _, err = run(capsys, "tabloids", "--shape", "0")
+    assert code == 2 and err.startswith("chromsym: error: --shape: ")
 
 
 @pytest.mark.parametrize(
@@ -313,3 +369,99 @@ def test_auto_expansion_is_byte_identical_to_tail(capsys, tmp_path, flag, value)
         auto = run(capsys, "expand", flag, value, "--format", fmt)
         tail = run(capsys, "expand", flag, value, "--format", fmt, "--route", "tail")
         assert auto == tail and auto[0] == 0
+
+
+# Fuzz of the whole command line. Values go in --flag=value form, so that
+# argparse never reads "-1,5" as an option; every graph has at most 8 vertices,
+# so every run is cheap whatever it asks for.
+JUNK = st.sampled_from(["", " ", "x", "1.5", "--", "2 2", "1e3", "+"])
+PART = st.one_of(st.integers(-2, 4).map(str), JUNK)
+PARTS_TEXT = st.one_of(
+    st.lists(st.integers(1, 4), min_size=1, max_size=4).map(lambda xs: ",".join(map(str, xs))),
+    st.lists(PART, max_size=4).map(",".join),
+).filter(lambda text: sum(int(p) for p in text.split(",") if p.isdigit()) <= 8)
+SMALL = st.integers(-1, 8)
+JSON_SCALAR = st.one_of(SMALL, st.booleans(), st.none(), st.just(2.5), st.text(max_size=2))
+PAIRS = st.one_of(
+    st.lists(st.one_of(st.lists(SMALL, max_size=3), JSON_SCALAR), max_size=6),
+    JSON_SCALAR,
+)
+
+
+@st.composite
+def well_formed_document(draw, key):
+    n = draw(st.integers(0, 8))
+    pair = st.lists(st.integers(0, max(n - 1, 0)), min_size=2, max_size=2, unique=True)
+    pairs = draw(st.lists(pair.map(sorted), max_size=12)) if n > 1 else []
+    return json.dumps({"n": n, key: pairs})
+
+
+MALFORMED_DOCUMENTS = st.one_of(
+    st.fixed_dictionaries(
+        {"n": st.one_of(SMALL, JSON_SCALAR), "edges": PAIRS},
+        optional={"covers": PAIRS, "junk": JSON_SCALAR},
+    ),
+    st.fixed_dictionaries(
+        {"n": st.one_of(SMALL, JSON_SCALAR), "covers": PAIRS},
+        optional={"labels": st.one_of(st.lists(st.text(max_size=2), max_size=8), JSON_SCALAR)},
+    ),
+    st.fixed_dictionaries(
+        {"multipartite": st.one_of(st.lists(st.integers(-1, 4), max_size=2), JSON_SCALAR)},
+        optional={"n": SMALL},
+    ),
+    JSON_SCALAR,
+    st.lists(SMALL, max_size=3),
+).map(json.dumps) | st.sampled_from(["", "{", "nope", "[1,"])
+
+
+@st.composite
+def invocations(draw):
+    command = draw(
+        st.sampled_from(["expand", "coeff", "classify", "verify", "tabloids", "nsp"])
+    )
+    argv, stdin = [command], ""
+    if command in ("expand", "coeff"):
+        source = draw(st.sampled_from(["--multipartite", "--graph-json", "--poset-json"]))
+        if source == "--multipartite":
+            argv.append(f"--multipartite={draw(PARTS_TEXT)}")
+        else:
+            argv.append(f"{source}=-")
+            key = "edges" if source == "--graph-json" else "covers"
+            stdin = draw(well_formed_document(key) | MALFORMED_DOCUMENTS)
+        argv.append(f"--route={draw(st.sampled_from(['auto', 'ww', 'closed', 'oracle']))}")
+        if command == "coeff":
+            argv.append(f"--lambda={draw(PARTS_TEXT)}")
+        else:
+            argv.append(f"--format={draw(st.sampled_from(['json', 'csv', 'ascii']))}")
+    elif command == "tabloids":
+        argv.append(f"--shape={draw(PARTS_TEXT)}")
+        argv.append(f"--format={draw(st.sampled_from(['json', 'ascii']))}")
+    else:
+        argv.append(f"--lambda={draw(PARTS_TEXT)}")
+        if command == "classify" and draw(st.booleans()):
+            argv.append(f"--verify={draw(st.sampled_from(['witness', 'full']))}")
+        if command == "verify":
+            argv.append(f"--mode={draw(st.sampled_from(['witness', 'full']))}")
+    if draw(st.booleans()):
+        argv.append(f"--max-vertices={draw(st.integers(-1, 9))}")
+    return argv, stdin
+
+
+@settings(max_examples=300, deadline=None)
+@given(invocations())
+def test_fuzzed_command_lines_end_in_a_documented_exit(invocation):
+    argv, stdin = invocation
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(stdin)), mock.patch.dict(
+        "os.environ", {}, clear=False
+    ) as env, redirect_stdout(out), redirect_stderr(err):
+        env.pop("CHROMSYM_MAX_VERTICES", None)
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert err == ""
+    elif code == 1:
+        assert argv[0] == "verify" or any(a.startswith("--verify=") for a in argv)
+    else:
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("chromsym: error: ")

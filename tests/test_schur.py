@@ -3,7 +3,6 @@ from hypothesis import given, settings, strategies as st
 
 from chromsym import (
     BadShapeError,
-    CapExceededError,
     Partition,
     Poset,
     coeff_closed_2beta,
@@ -145,12 +144,6 @@ def test_positivity_scan():
     assert positivity_scan(c4, p4).all_nonnegative
     claw, pc, _ = multipartite((3, 1))
     assert positivity_scan(claw, pc).first_negative == (Partition((2, 2)), -1)
-
-
-def test_positivity_scan_cap():
-    g, p, _ = multipartite((3, 3, 3, 3, 3))
-    with pytest.raises(CapExceededError):
-        positivity_scan(g, p, cap=10)
 
 
 def test_scan_uses_first_negative_in_reverse_lex_order():
