@@ -367,10 +367,11 @@ def _oracle_checks(max_n: int):
         return True
 
     def nsp_agreement():
-        for parts in [(), (2,), (2, 1), (2, 2), (3, 2)]:
-            if nsp_chain_union(parts) != nsp_bruteforce(Poset.chain_union(parts)):
-                return False
-        return True
+        return all(
+            nsp_chain_union(lam.parts) == nsp_bruteforce(Poset.chain_union(lam.parts))
+            for n in range(max_n + 1)
+            for lam in partitions_of(n)
+        )
 
     return [
         ("kostka unitriangular", kostka_unitriangular),

@@ -3,13 +3,17 @@
 A sequence v_1, ..., v_k in the incomparability graph of a poset is
 non-increasing when v_i <= v_{i+1} fails at every step. The spanning count
 N_sp is the number of such sequences through all vertices; the empty graph
-contributes 1 for the empty sequence.
+contributes 1 for the empty sequence. On disjoint chains of lengths lam,
+
+    N_sp(lam) = sum_J J! [t^J] prod_i sum_{j=1..lam_i} (-1)^(lam_i-j) S(lam_i, j) t^j
+
+with S the Stirling numbers of the second kind (see `nsp_chain_union`).
 """
 
 from __future__ import annotations
 
 from functools import cache
-from math import comb
+from math import factorial
 
 from .posets import Poset
 
@@ -46,50 +50,38 @@ def nsp_bruteforce(poset: Poset) -> int:
     return sum(walk(1 << v, v) for v in range(n))
 
 
-def _surjections(n: int, m: int) -> int:
-    """Number of surjections from an n-set onto m ordered blocks."""
-    return sum((-1) ** j * comb(m, j) * (m - j) ** n for j in range(m + 1))
-
-
 @cache
-def _no_repeat_arrangements(counts: tuple[int, ...], last: int) -> int:
-    """Multiset arrangements of `counts` with no two equal letters adjacent."""
-    if not any(counts):
-        return 1
-    total = 0
-    for i, c in enumerate(counts):
-        if c and i != last:
-            dec = counts[:i] + (c - 1,) + counts[i + 1 :]
-            total += _no_repeat_arrangements(dec, i)
-    return total
+def _signed_stirling_row(length: int) -> tuple[int, ...]:
+    """(-1)^(length-j) S(length, j) for j = 0..length.
+
+    S(n, m) = m S(n-1, m) + S(n-1, m-1) with the signs folded in.
+    """
+    row = [1]
+    for _ in range(length):
+        row = [0] + [row[m - 1] - m * row[m] for m in range(1, len(row))] + row[-1:]
+    return tuple(row)
 
 
 def nsp_chain_union(lam) -> int:
     """N_sp for the incomparability graph of disjoint chains of lengths `lam`.
 
-    Consecutive vertices of different chains are always incomparable, and a
-    maximal run within one chain must descend, so it is determined by its
-    element set. Grouping the label words by per-chain block counts turns the
-    interleaving sum into: over block-count vectors m, the number of no-equal-
-    adjacent arrangements of the blocks times, per chain, the surjection count
-    distributing its elements onto its ordered blocks.
+    A maximal run of one chain's vertices must descend, so it is fixed by its
+    element set, and vertices of different chains are incomparable: N_sp
+    counts arrangements of blocks with no two blocks of one chain adjacent.
+    Inclusion-exclusion over glued runs of one chain's blocks, then summing
+    out each chain's block count with sum_k (-1)^(k-1) k! S(s, k) = (-1)^(s-1),
+    leaves each chain's signed Stirling row; the runs of all chains are then
+    arranged freely, J! ways for J runs. O(n^2) big-integer operations.
     """
     lengths = tuple(int(x) for x in lam)
     if any(x < 1 for x in lengths):
         raise ValueError("chain lengths must be positive")
-    if not lengths:
-        return 1
-
-    def rec(i, blocks_so_far, weight):
-        if i == len(lengths):
-            yield tuple(blocks_so_far), weight
-            return
-        for m in range(1, lengths[i] + 1):
-            blocks_so_far.append(m)
-            yield from rec(i + 1, blocks_so_far, weight * _surjections(lengths[i], m))
-            blocks_so_far.pop()
-
-    total = 0
-    for counts, weight in rec(0, [], 1):
-        total += weight * _no_repeat_arrangements(counts, -1)
-    return total
+    poly = [1]
+    for length in lengths:
+        row = _signed_stirling_row(length)
+        product = [0] * (len(poly) + length)
+        for i, a in enumerate(poly):
+            for j, b in enumerate(row):
+                product[i + j] += a * b
+        poly = product
+    return sum(factorial(runs) * coeff for runs, coeff in enumerate(poly))

@@ -234,6 +234,11 @@ def test_nsp(capsys):
     assert code == 0 and out == "46\n"
     code, out, _ = run(capsys, "nsp", "--lambda", "2,2")
     assert out == "14\n"
+    code, out, _ = run(capsys, "nsp", "--lambda", "7,7,7,7,7,7")
+    assert code == 0
+    assert out == "58215641824462047457894859941480189937616591780720\n"
+    code, out, _ = run(capsys, "nsp", "--lambda", "1000")
+    assert code == 0 and out == "1\n"
 
 
 def test_output_file(capsys, tmp_path):

@@ -1,4 +1,8 @@
+from itertools import permutations
+from math import factorial
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chromsym import (
     Poset,
@@ -61,6 +65,38 @@ def test_nsp_invariant_under_chain_order():
     for arrangement in [(2, 3), (3, 2)]:
         assert nsp_bruteforce(Poset.chain_union(arrangement)) == 46
     assert nsp_chain_union((3, 2)) == 46
+    for lam in [(4, 4, 3, 3), (3, 2, 2, 1), (5, 1, 2, 1), (3,) + (2,) * 4]:
+        values = {nsp_chain_union(order) for order in permutations(lam)}
+        assert values == {nsp_chain_union(lam)}, lam
+
+
+def test_nsp_chain_union_pinned_values():
+    # reference values from a sum over block-count vectors
+    assert nsp_chain_union((3,) + (2,) * 7) == 194465276369280
+    assert nsp_chain_union((4, 4, 3, 3)) == 21693217464
+    assert nsp_chain_union((7,) * 6) == (
+        58215641824462047457894859941480189937616591780720
+    )
+    for length in range(1, 301):
+        assert nsp_chain_union((length,)) == 1, length
+    for k in range(12):
+        assert nsp_chain_union((1,) * k) == factorial(k), k
+
+
+@st.composite
+def chain_unions(draw):
+    lengths = []
+    while True:
+        length = draw(st.integers(1, 6))
+        if sum(lengths) + length > 11 or not draw(st.booleans()):
+            return tuple(lengths)
+        lengths.append(length)
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain_unions())
+def test_nsp_chain_union_matches_bruteforce_random(lengths):
+    assert nsp_chain_union(lengths) == nsp_bruteforce(Poset.chain_union(lengths))
 
 
 def test_nsp_isolated_vertex_monotone():
