@@ -290,6 +290,7 @@ def _cmd_nsp(args, config: RunConfig) -> int:
 def _oracle_checks(max_n: int):
     from .oracle import schur_to_monomial
     from .partitions import dominates
+    from .posets import stable_partition_count, stable_partition_count_backtracking
     from .sequences import nsp_bruteforce
     from .tabloids import enumerate_srh_tabloids as _tabs
 
@@ -366,6 +367,18 @@ def _oracle_checks(max_n: int):
                     return False
         return True
 
+    def count_table_agreement():
+        for n in range(min(max_n, 5) + 1):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            for chosen in range(1 << len(pairs)):
+                graph = Graph(n, [e for i, e in enumerate(pairs) if (chosen >> i) & 1])
+                for mu in partitions_of(n):
+                    if stable_partition_count(graph, mu) != (
+                        stable_partition_count_backtracking(graph, mu)
+                    ):
+                        return False
+        return True
+
     def nsp_agreement():
         return all(
             nsp_chain_union(lam.parts) == nsp_bruteforce(Poset.chain_union(lam.parts))
@@ -381,6 +394,7 @@ def _oracle_checks(max_n: int):
         ("coefficient routes agree", route_agreement),
         ("expansion counts proper colorings", coloring_specialization),
         ("chain-union sequence count matches brute force", nsp_agreement),
+        ("count table agrees with backtracking", count_table_agreement),
     ]
 
 

@@ -3,7 +3,8 @@
 Complete multipartite graphs are built as incomparability graphs of disjoint
 chain unions, which is also where the fast stable-partition counting path
 lives: a stable set of such a graph is always a subset of a single side, so
-counting reduces to distributing part sizes over sides.
+counting reduces to distributing part sizes over sides. Any other graph
+counts every type at once by inclusion-exclusion over vertex subsets.
 """
 
 from __future__ import annotations
@@ -146,8 +147,10 @@ class Graph:
 
     ``sides`` is set only for graphs built by :func:`multipartite`, recording
     the stable sides; it unlocks the fast counting path. ``_counts`` is the
-    graph's stable-partition count table, keyed by type and filled one type
-    at a time by :func:`stable_partition_count`.
+    graph's stable-partition count table, keyed by type and filled by
+    :func:`stable_partition_count`: one type at a time by side distribution
+    for multipartite graphs, every type in one inclusion-exclusion sweep for
+    any other graph.
     """
 
     __slots__ = ("size", "_adj", "sides", "_counts")
@@ -309,7 +312,7 @@ def _partition_blocks(graph: Graph, mu: Partition):
     """Backtracking over blocks; the block of the lowest uncovered vertex first.
 
     Yields tuples of block bitmasks, one tuple per unordered partition.
-    Consuming lazily gives existence checks their early exit.
+    Consumed lazily, so stable_partitions streams its results.
     """
     adj = graph._adj
     remaining = Counter(mu.parts)
@@ -423,12 +426,62 @@ def multipartite_has_stable_partition(sides: tuple[int, ...], mu: tuple[int, ...
     )
 
 
+def _sweep_counts(graph: Graph) -> dict:
+    """Every type's stable-partition count, by inclusion-exclusion over subsets.
+
+    Ordered tuples of stable sets of sizes mu_1, mu_2, ... covering V number
+    sum over X of (-1)^(n-|X|) * prod_i s_(mu_i)(X), where s_j(X) counts the
+    stable j-sets inside X (Bjorklund-Husfeldt-Koivisto). Each s_j is one
+    list indexed by mask, grown one vertex v at a time through
+    s_j(X + v) = s_j(X) + s_(j-1)(X minus N(v)); the lists stop at the
+    independence number. Masks sharing a profile (s_1(X), s_2(X), ...) share
+    every product, so the sum runs over profiles. Dividing the ordered count
+    by the multiplicity factorials unorders the same-size blocks. Returns a
+    {type: count} dict over every partition of n, zeros included.
+    """
+    n = graph.size
+    if n == 0:
+        return {Partition(()): 1}
+    full = (1 << n) - 1
+    rows = []  # rows[j - 1][X] = s_j(X)
+    prev = [1] * (full + 1)
+    while True:
+        cur = [0]
+        for v in range(n):
+            h = 1 << v
+            m = ~graph._adj[v] & (h - 1)
+            cur.extend([a + prev[y & m] for y, a in zip(range(h), cur[:h])])
+        if not cur[full]:
+            break
+        rows.append(cur)
+        prev = cur
+    # s_1(X) = |X| carries the sign
+    terms = [
+        (profile, -mult if (n - profile[0]) % 2 else mult)
+        for profile, mult in Counter(zip(*rows)).items()
+    ]
+    table = {}
+    for mu in partitions_of(n):
+        total = 0
+        if mu.parts[0] <= len(rows):
+            picks = [part - 1 for part in mu.parts]
+            for profile, term in terms:
+                for i in picks:
+                    term *= profile[i]
+                total += term
+            for m in mu.multiplicities().values():
+                total //= factorial(m)
+        table[mu] = total
+    return table
+
+
 def stable_partition_count(graph: Graph, mu) -> int:
     """Number of unordered stable partitions of type `mu`.
 
-    Reads the graph's count table, filling the entry on first use:
-    multipartite graphs by the side-distribution fast path, everything else
-    by backtracking. Returns 0 when the weights disagree.
+    Reads the graph's count table. A multipartite graph fills one entry per
+    first use by side distribution; any other graph fills every type in one
+    :func:`_sweep_counts` the first time any type is asked for. Returns 0
+    when the weights disagree.
     """
     mu = aspartition(mu)
     if mu.n != graph.size:
@@ -438,9 +491,12 @@ def stable_partition_count(graph: Graph, mu) -> int:
         sizes = graph.side_sizes()
         if sizes is not None:
             count = multipartite_stable_partition_count(sizes, mu.parts)
+            graph._counts[mu] = count
         else:
-            count = stable_partition_count_backtracking(graph, mu)
-        graph._counts[mu] = count
+            # another thread may sweep too; both publish the same whole table
+            table = _sweep_counts(graph)
+            graph._counts.update(table)
+            count = table[mu]
     return count
 
 
@@ -454,14 +510,18 @@ def semi_ordered_count(graph: Graph, mu) -> int:
 
 
 def has_stable_partition(graph: Graph, mu) -> bool:
-    """True iff the graph has at least one stable partition of type `mu`."""
+    """True iff the graph has at least one stable partition of type `mu`.
+
+    Multipartite graphs answer by side distribution with early exit; any
+    other graph reads ``count > 0`` from its count table.
+    """
     mu = aspartition(mu)
     if mu.n != graph.size:
         return False
     sizes = graph.side_sizes()
     if sizes is not None:
         return multipartite_has_stable_partition(sizes, mu.parts)
-    return next(_partition_blocks(graph, mu), None) is not None
+    return stable_partition_count(graph, mu) > 0
 
 
 def niceness_violation(graph: Graph, lam_present, max_length=None) -> Partition | None:

@@ -216,14 +216,34 @@ def _tilings(shape: tuple[int, ...]) -> tuple:
 
 
 @cache
+def _peel(shape: tuple[int, ...]) -> dict:
+    """{content sorted decreasingly: sum of signs} over the tilings of `shape`.
+
+    Peels the bottom hook exactly as :func:`_tilings` does, but keeps only
+    the census of what is left: the hook of top row t adds its length to
+    every content and flips the sign once per row it climbs.
+    """
+    if not shape:
+        return {(): 1}
+    ell = len(shape)
+    out = {}
+    length = shape[-1]
+    for top in range(ell, 0, -1):
+        if top < ell:
+            length += shape[top - 1] - shape[top] + 1
+        rest = shape[: top - 1] + tuple(shape[r] - 1 for r in range(top, ell))
+        while rest and rest[-1] == 0:
+            rest = rest[:-1]
+        flip = (ell - top) % 2
+        for content, sign in _peel(rest).items():
+            key = tuple(sorted(content + (length,), reverse=True))
+            out[key] = out.get(key, 0) + (-sign if flip else sign)
+    return {content: sign for content, sign in out.items() if sign}
+
+
+@cache
 def _census(shape: tuple[int, ...]) -> MappingProxyType:
-    census = {}
-    for tiling in _tilings(shape):
-        mu = Partition(sorted((len(cells) for cells in tiling), reverse=True))
-        # a hook climbs from its first row to its last, one N-step per row
-        n_steps = sum(cells[0][0] - cells[-1][0] for cells in tiling)
-        census[mu] = census.get(mu, 0) + (-1 if n_steps % 2 else 1)
-    return MappingProxyType({mu: s for mu, s in census.items() if s})
+    return MappingProxyType({Partition(c): sign for c, sign in _peel(shape).items()})
 
 
 def signed_content_census(lam) -> MappingProxyType:
@@ -231,7 +251,8 @@ def signed_content_census(lam) -> MappingProxyType:
     grouped by sorted content; types whose signs cancel are left out.
 
     By Egecioglu-Remmel this is the column `lam` of the inverse Kostka
-    matrix. Cached per shape; no tabloid objects are built.
+    matrix. Computed by memoized peeling of the bottom hook, without
+    listing tilings or building tabloid objects; cached per shape.
     """
     return _census(aspartition(lam).parts)
 

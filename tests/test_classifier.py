@@ -7,6 +7,8 @@ from chromsym import (
     PositiveFamilyError,
     classify,
     dominates,
+    expand_schur,
+    multipartite,
     multipartite_has_stable_partition,
     partitions_of,
     verify_classification,
@@ -161,3 +163,44 @@ def test_report_json():
     }
     data = classify((2, 1)).to_json()
     assert data["witness"] is None and data["verdict"] == "SchurPositive"
+
+
+def multipartite_types(max_n, min_n=2):
+    """Every type with at least two sides and min_n..max_n vertices."""
+    return [
+        lam for n in range(min_n, max_n + 1) for lam in partitions_of(n) if len(lam) >= 2
+    ]
+
+
+def theorem_mismatches(types):
+    """Types whose verdict disagrees with the sign of a full ``ww`` scan, or,
+    in the two closed families, whose ``ww`` expansion differs from the
+    closed forms."""
+    bad = []
+    for lam in types:
+        graph, poset, _ = multipartite(lam)
+        ww = expand_schur(graph, poset, "ww")
+        positive = all(c >= 0 for c in ww.coeffs.values())
+        if positive != (classify(lam).verdict == "SchurPositive"):
+            bad.append(lam)
+        elif schur._closed_family(graph) and ww != expand_schur(graph, poset, "closed"):
+            bad.append(lam)
+    return bad
+
+
+def test_theorem_matches_ww_scans_up_to_12_vertices():
+    assert len(multipartite_types(12)) == 259
+    assert theorem_mismatches(multipartite_types(12)) == []
+
+
+def test_theorem_check_rejects_a_wrong_verdict(monkeypatch):
+    import chromsym.classifier as classifier
+
+    reason = classifier._positive_reason
+    monkeypatch.setattr(
+        classifier,
+        "_positive_reason",
+        lambda lam: "AllPartsLe2" if lam == (4, 4) else reason(lam),
+    )
+    assert classify((4, 4)).verdict == "SchurPositive"
+    assert theorem_mismatches(multipartite_types(8, min_n=8)) == [(4, 4)]

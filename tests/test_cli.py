@@ -255,7 +255,7 @@ def test_oracle_check(capsys):
     code, out, _ = run(capsys, "oracle-check", "--max-n", "4")
     assert code == 0
     lines = out.strip().splitlines()
-    assert len(lines) == 7
+    assert len(lines) == 8
     assert all(line.startswith("ok") for line in lines)
 
 
@@ -374,6 +374,24 @@ def test_auto_expansion_is_byte_identical_to_tail(capsys, tmp_path, flag, value)
         auto = run(capsys, "expand", flag, value, "--format", fmt)
         tail = run(capsys, "expand", flag, value, "--format", fmt, "--route", "tail")
         assert auto == tail and auto[0] == 0
+
+
+def test_expand_sparse_order_of_14_by_sweep_and_peeling(capsys, monkeypatch, tmp_path):
+    from chromsym import posets, tabloids
+
+    def refuse(*args):
+        raise AssertionError("backtracked or listed tilings")
+
+    monkeypatch.setattr(posets, "stable_partition_count_backtracking", refuse)
+    monkeypatch.setattr(posets, "_partition_blocks", refuse)
+    monkeypatch.setattr(tabloids, "_tilings", refuse)
+    path = tmp_path / "p.json"
+    # i < j iff j - i >= 3
+    path.write_text(json.dumps(unit_interval_order([i + 2 for i in range(14)])))
+    argv = ("expand", "--poset-json", str(path), "--max-vertices", "14")
+    auto = run(capsys, *argv)
+    assert auto[0] == 0 and auto[2] == ""
+    assert run(capsys, *argv, "--route", "oracle") == auto
 
 
 # Fuzz of the whole command line. Values go in --flag=value form, so that

@@ -3,6 +3,7 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import chromsym.posets as posets
 from chromsym import (
@@ -184,25 +185,64 @@ def test_semi_ordered_divisible_by_plain_count():
 
 
 def test_count_table_counts_each_type_once_per_graph(monkeypatch):
-    calls = []
-    backtrack = posets.stable_partition_count_backtracking
+    def refuse(graph, mu):
+        raise AssertionError("the count table backtracked")
 
-    def recording_backtrack(graph, mu):
-        calls.append(mu)
-        return backtrack(graph, mu)
+    sweeps = []
+    sweep = posets._sweep_counts
 
-    monkeypatch.setattr(posets, "stable_partition_count_backtracking", recording_backtrack)
+    def recording_sweep(graph):
+        sweeps.append(graph)
+        return sweep(graph)
+
+    monkeypatch.setattr(posets, "stable_partition_count_backtracking", refuse)
+    monkeypatch.setattr(posets, "_sweep_counts", recording_sweep)
     c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     assert stable_partition_count(c5, (2, 2, 1)) == 5
     assert semi_ordered_count(c5, (2, 2, 1)) == 10
-    assert calls == [(2, 2, 1)]
+    # the first read fills every type; later reads and existence checks hit it
+    assert set(c5._counts) == set(partitions_of(5))
+    assert stable_partition_count(c5, (1, 1, 1, 1, 1)) == 1
+    assert has_stable_partition(c5, (2, 2, 1)) and not has_stable_partition(c5, (3, 2))
+    assert sweeps == [c5]
     # another graph on the same edges keeps its own table
     assert stable_partition_count(Graph(5, c5.edges()), (2, 2, 1)) == 5
-    assert calls == [(2, 2, 1)] * 2
-    # multipartite graphs fill their table without backtracking
+    assert len(sweeps) == 2
+    # multipartite graphs fill their table by side distribution, no sweep
     g32, _, _ = multipartite((3, 2))
     assert stable_partition_count(g32, (2, 2, 1)) == 3
-    assert len(calls) == 2
+    assert has_stable_partition(g32, (3, 2))
+    assert len(sweeps) == 2
+
+
+@st.composite
+def general_graphs(draw, max_n=9):
+    """Random graphs on up to `max_n` vertices, edgeless and complete ones
+    drawn on purpose."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    kind = draw(st.sampled_from(["random", "edgeless", "complete"]))
+    if kind == "edgeless":
+        return Graph(n, [])
+    if kind == "complete":
+        return Graph(n, pairs)
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=80, deadline=None)
+@given(general_graphs())
+def test_count_table_sweep_matches_backtracking(graph):
+    fresh = Graph(graph.size, graph.edges())
+    expected = {
+        mu: stable_partition_count_backtracking(fresh, mu)
+        for mu in partitions_of(graph.size)
+    }
+    assert {mu: stable_partition_count(graph, mu) for mu in expected} == expected
+    assert graph._counts == expected
+    for mu, count in expected.items():
+        exists = next(stable_partitions(fresh, mu), None) is not None
+        assert has_stable_partition(graph, mu) == exists == (count > 0)
 
 
 def test_count_table_shared_across_threads():

@@ -2,6 +2,7 @@ from collections import defaultdict
 
 import pytest
 
+import chromsym.tabloids as tabloids
 from chromsym import (
     Diagram,
     KostkaMatrix,
@@ -373,7 +374,7 @@ def test_content_reads_bottom_to_top():
 
 
 def test_signed_content_census_is_the_inverse_kostka_matrix():
-    for n in range(1, 9):
+    for n in range(1, 11):
         inverse = KostkaMatrix(n).inverse()
         for lam in partitions_of(n):
             from_objects = defaultdict(int)
@@ -386,3 +387,18 @@ def test_signed_content_census_is_the_inverse_kostka_matrix():
                 for mu in partitions_of(n)
                 if inverse.get((mu, lam))
             }, lam
+
+
+def test_signed_content_census_lists_no_tilings(monkeypatch):
+    def refuse(shape):
+        raise AssertionError("the census listed tilings")
+
+    tabloids._peel.cache_clear()
+    tabloids._census.cache_clear()
+    monkeypatch.setattr(tabloids, "_tilings", refuse)
+    assert dict(signed_content_census((2, 1))) == {(2, 1): 1, (3,): -1}
+    assert dict(signed_content_census(())) == {(): 1}
+    for lam in partitions_of(9):
+        census = signed_content_census(lam)
+        assert census[lam] == 1
+        assert sum(census.values()) == (1 if lam == (9,) else 0)
