@@ -5,6 +5,14 @@ JSON output is canonical (sorted keys, no spaces, decimal-string integers)
 so that parsing and re-serializing an emitted document is byte-identical.
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 
+One table, ``COMMANDS``, holds each command's handler, flags and required
+flags; ``_parse_args`` reads a command line against it and ``_help`` writes
+``-h``/``--help`` from it. Flags are spelled in full (no prefix matching),
+and both ``--flag VALUE`` and ``--flag=VALUE`` work, so a value may start
+with a dash (``--lambda -1,5``, ``--lambda --``). Every usage error, whether
+from the command line or from its values, is one ``chromsym: error: ...``
+line on stderr with exit 2; help goes to stdout with exit 0.
+
 The size budget lives here and nowhere else: library functions compute what
 they are asked, and every command that does exhaustive work checks its size
 against ``--max-vertices`` once, before that work starts.
@@ -12,38 +20,23 @@ against ``--max-vertices`` once, before that work starts.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from ._util import json_fields, json_ints
 from .classifier import classify, verify_classification
 from .errors import ChromsymError
-from .oracle import (
-    KostkaMatrix,
-    coloring_count,
-    enumerate_ssyt,
-    kostka,
-    monomial_to_schur,
-    specialize_ones,
-    x_in_monomial,
-)
-from .partitions import Partition, partitions_of, sort_to_partition
+from .partitions import Partition
 from .posets import Graph, Poset, incomparability_graph, multipartite
 from .schur import ROUTES, coeff_report, expand_schur
 from .sequences import nsp_chain_union
-from .symfunc import SymFunc
 from .tabloids import enumerate_srh_tabloids, render_ascii
 
 DEFAULT_MAX_VERTICES = 12
 ENV_MAX_VERTICES = "CHROMSYM_MAX_VERTICES"
-ROUTE_HELP = (
-    "coefficient route (default auto: closed forms for sides (2^b) and "
-    "(3,2^b), ww from the stable-partition count table otherwise; tabloid "
-    "and tail enumerate filled tabloids as cross-checks)"
-)
 
 
 class UsageError(Exception):
@@ -72,11 +65,6 @@ class RunConfig:
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
-        for dest, value in vars(args).items():
-            # argparse (Python 3.11) reads `--flag=--` as an empty list
-            if value == []:
-                flag = "--lambda" if dest == "lam" else "--" + dest.replace("_", "-")
-                raise UsageError(f"{flag}: expected a value, got '--'")
         max_vertices = getattr(args, "max_vertices", None)
         if max_vertices is None:
             max_vertices = _default_max_vertices()
@@ -287,208 +275,173 @@ def _cmd_nsp(args, config: RunConfig) -> int:
     return 0
 
 
-def _oracle_checks(max_n: int):
-    from .oracle import schur_to_monomial
-    from .partitions import dominates
-    from .posets import stable_partition_count, stable_partition_count_backtracking
-    from .sequences import nsp_bruteforce
-    from .tabloids import enumerate_srh_tabloids as _tabs
-
-    def kostka_unitriangular():
-        for n in range(max_n + 1):
-            for lam in partitions_of(n):
-                for mu in partitions_of(n):
-                    k = kostka(lam, mu)
-                    if lam == mu and k != 1:
-                        return False
-                    if k and not dominates(lam, mu):
-                        return False
-        return True
-
-    def kostka_matches_enumeration():
-        for n in range(max_n + 1):
-            for lam in partitions_of(n):
-                for mu in partitions_of(n):
-                    if kostka(lam, mu) != sum(1 for _ in enumerate_ssyt(lam, mu.parts)):
-                        return False
-        return True
-
-    def inverse_kostka_census():
-        for n in range(1, max_n + 1):
-            inv = KostkaMatrix(n).inverse()
-            census = {}
-            for lam in partitions_of(n):
-                for t in _tabs(lam):
-                    key = (sort_to_partition(t.content), lam)
-                    census[key] = census.get(key, 0) + t.sign
-            for lam in partitions_of(n):
-                for mu in partitions_of(n):
-                    if inv.get((mu, lam), 0) != census.get((mu, lam), 0):
-                        return False
-        return True
-
-    def round_trip():
-        for n in range(max_n + 1):
-            for lam in partitions_of(n):
-                f = SymFunc("schur", n, {lam: 1})
-                if monomial_to_schur(schur_to_monomial(f)) != f:
-                    return False
-        return True
-
-    def route_agreement():
-        targets = [(2, 2), (3, 1), (3, 2)]
-        for parts in targets:
-            graph, poset, _ = multipartite(parts)
-            truth = monomial_to_schur(x_in_monomial(graph))
-            for mu in partitions_of(graph.size):
-                reports = [
-                    coeff_report(graph, poset, mu, route).value
-                    for route in ("auto", "ww", "tabloid", "tail")
-                ]
-                if any(v != truth[mu] for v in reports):
-                    return False
-        poset = Poset(
-            6, [(0, 1), (1, 5), (0, 2), (2, 4), (3, 2), (1, 4)], list("abcdef")
-        )
-        graph = incomparability_graph(poset)
-        truth = monomial_to_schur(x_in_monomial(graph))
-        for mu in partitions_of(6):
-            for route in ("auto", "tail"):
-                if coeff_report(graph, poset, mu, route).value != truth[mu]:
-                    return False
-        return True
-
-    def coloring_specialization():
-        for parts in [(2, 1), (2, 2), (3, 1), (2, 2, 1)]:
-            graph, poset, _ = multipartite(parts)
-            func = expand_schur(graph, poset)
-            for q in range(4):
-                if specialize_ones(func, q) != coloring_count(graph, q):
-                    return False
-        return True
-
-    def count_table_agreement():
-        for n in range(min(max_n, 5) + 1):
-            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-            for chosen in range(1 << len(pairs)):
-                graph = Graph(n, [e for i, e in enumerate(pairs) if (chosen >> i) & 1])
-                for mu in partitions_of(n):
-                    if stable_partition_count(graph, mu) != (
-                        stable_partition_count_backtracking(graph, mu)
-                    ):
-                        return False
-        return True
-
-    def nsp_agreement():
-        return all(
-            nsp_chain_union(lam.parts) == nsp_bruteforce(Poset.chain_union(lam.parts))
-            for n in range(max_n + 1)
-            for lam in partitions_of(n)
-        )
-
-    return [
-        ("kostka unitriangular", kostka_unitriangular),
-        ("kostka matches tableau enumeration", kostka_matches_enumeration),
-        ("inverse kostka matches signed tabloid census", inverse_kostka_census),
-        ("schur/monomial round trip", round_trip),
-        ("coefficient routes agree", route_agreement),
-        ("expansion counts proper colorings", coloring_specialization),
-        ("chain-union sequence count matches brute force", nsp_agreement),
-        ("count table agrees with backtracking", count_table_agreement),
-    ]
-
-
 def _cmd_oracle_check(args, config: RunConfig) -> int:
+    from .selfcheck import CHECKS
+
     failures = 0
     lines = []
-    for name, check in _oracle_checks(args.max_n):
-        ok = check()
+    for name, check in CHECKS:
+        ok = check(args.max_n)
         failures += 0 if ok else 1
         lines.append(f"{'ok  ' if ok else 'FAIL'}  {name}")
     _emit("\n".join(lines), config.output)
     return 1 if failures else 0
 
 
-def _add_graph_flags(sub):
-    sub.add_argument("--multipartite", help="side sizes, e.g. 3,2,2")
-    sub.add_argument("--poset-json", help="path to poset JSON ('-' for stdin)")
-    sub.add_argument("--graph-json", help="path to graph JSON ('-' for stdin)")
+GRAPH_FLAGS = {"--multipartite": str, "--poset-json": str, "--graph-json": str}
+COMMON_FLAGS = {"--output": str, "--max-vertices": int}
+
+# command: (handler, summary, {flag: str | int | tuple of choices}, required flags)
+COMMANDS = {
+    "expand": (
+        _cmd_expand,
+        "full Schur expansion of a graph",
+        {**GRAPH_FLAGS, "--route": ROUTES, "--format": ("json", "csv", "ascii"), **COMMON_FLAGS},
+        (),
+    ),
+    "coeff": (
+        _cmd_coeff,
+        "one Schur coefficient of a graph",
+        {**GRAPH_FLAGS, "--lambda": str, "--route": ROUTES, "--format": ("json",), **COMMON_FLAGS},
+        ("--lambda",),
+    ),
+    "classify": (
+        _cmd_classify,
+        "Schur-positivity verdict for K_lambda",
+        {"--lambda": str, "--verify": ("witness", "full"), "--format": ("json",), **COMMON_FLAGS},
+        ("--lambda",),
+    ),
+    "verify": (
+        _cmd_verify,
+        "check a verdict's certificate or rescan",
+        {"--lambda": str, "--mode": ("witness", "full"), "--format": ("json",), **COMMON_FLAGS},
+        ("--lambda",),
+    ),
+    "tabloids": (
+        _cmd_tabloids,
+        "list special rim hook tabloids of a shape",
+        {"--shape": str, "--format": ("json", "ascii"), **COMMON_FLAGS},
+        ("--shape",),
+    ),
+    "nsp": (
+        _cmd_nsp,
+        "spanning non-increasing sequence count of K_lambda",
+        {"--lambda": str, "--format": ("json",), **COMMON_FLAGS},
+        ("--lambda",),
+    ),
+    "oracle-check": (
+        _cmd_oracle_check,
+        "run the cross-validation battery",
+        {"--max-n": int, "--format": ("json",), **COMMON_FLAGS},
+        (),
+    ),
+}
+DEFAULTS = {"--format": "json", "--route": "auto", "--mode": "witness", "--max-n": 5}
+FLAG_HELP = {
+    "--multipartite": "side sizes of a complete multipartite graph, e.g. 3,2,2",
+    "--poset-json": "path to poset JSON ('-' for stdin)",
+    "--graph-json": "path to graph JSON ('-' for stdin)",
+    "--lambda": "a partition, e.g. 5,4,4,4: the target shape for coeff, the side sizes otherwise",
+    "--shape": "shape, e.g. 4,2,2",
+    "--route": (
+        "coefficient route; auto takes the closed forms for sides (2^b) and (3,2^b) "
+        "and ww from the stable-partition count table otherwise; tabloid and tail "
+        "enumerate filled tabloids as cross-checks"
+    ),
+    "--verify": "also check the verdict: its witness, or a full scan",
+    "--mode": "witness checks the verdict's certificate, full rescans every coefficient",
+    "--max-n": "largest n the battery sweeps",
+    "--format": "output format",
+    "--output": "write to a file instead of stdout",
+    "--max-vertices": (
+        "size budget: vertices of the graph or type, cells of the shape "
+        f"(default {DEFAULT_MAX_VERTICES}, env {ENV_MAX_VERTICES})"
+    ),
+}
+HELP_FLAGS = ("-h", "--help")
+USAGE_NOTE = (
+    "Flags are spelled in full; --flag VALUE and --flag=VALUE both work.\n"
+    "Exit codes: 0 success, 1 verification failure, 2 usage error (one stderr line).\n"
+)
 
 
-def _add_common_flags(sub, formats=("json",)):
-    sub.add_argument("--format", default="json", choices=formats)
-    sub.add_argument("--output", help="write to a file instead of stdout")
-    sub.add_argument(
-        "--max-vertices",
-        type=int,
-        default=None,
-        help=(
-            "size budget: vertices of the graph or type, cells of the shape "
-            f"(default {DEFAULT_MAX_VERTICES}, env {ENV_MAX_VERTICES})"
-        ),
+def _help(command: str | None) -> str:
+    """Help text for chromsym (command None) or for one command, from COMMANDS."""
+    if command is None:
+        width = max(map(len, COMMANDS))
+        rows = "".join(f"  {name:<{width}}  {entry[1]}\n" for name, entry in COMMANDS.items())
+        return (
+            "usage: chromsym COMMAND [--flag VALUE ...]\n\n"
+            "Exact Schur expansions of chromatic symmetric functions\n\n"
+            f"commands:\n{rows}\n{USAGE_NOTE}"
+            "Run chromsym COMMAND --help for the flags of one command.\n"
+        )
+    _, summary, kinds, required = COMMANDS[command]
+    rows = []
+    for flag, kind in kinds.items():
+        value = {str: "TEXT", int: "N"}.get(kind) or "{" + ",".join(kind) + "}"
+        if flag in required:
+            value += " (required)"
+        elif DEFAULTS.get(flag) is not None:
+            value += f" (default {DEFAULTS[flag]})"
+        rows.append(f"  {flag} {value}\n      {FLAG_HELP[flag]}\n")
+    return (
+        f"usage: chromsym {command} [--flag VALUE ...]\n\n{summary}\n\n"
+        f"flags:\n{''.join(rows)}\n{USAGE_NOTE}"
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="chromsym",
-        description="Exact Schur expansions of chromatic symmetric functions",
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read ``COMMAND (--flag VALUE | --flag=VALUE)...`` against COMMANDS.
+
+    Flags are matched in full (no prefixes); a repeated flag keeps its last
+    value. The result carries ``command`` and one attribute per flag of the
+    command (``--lambda`` as ``lam``, ``--max-n`` as ``max_n``), unset ones
+    holding their default or None.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        got = f", got {argv[0]!r}" if argv else ""
+        raise UsageError(f"expected a command, one of {', '.join(COMMANDS)}{got}")
+    command = argv[0]
+    _, _, kinds, required = COMMANDS[command]
+    values = {flag: DEFAULTS.get(flag) for flag in kinds}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in kinds:
+            raise UsageError(f"{command}: unknown flag {flag!r}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise UsageError(f"{flag}: expected a value")
+        kind = kinds[flag]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(f"{flag}: expected an integer, got {value!r}") from None
+        elif kind is not str and value not in kind:
+            raise UsageError(f"{flag}: expected one of {', '.join(kind)}, got {value!r}")
+        values[flag] = value
+    for flag in required:
+        if values[flag] is None:
+            raise UsageError(f"{flag} is required")
+    return SimpleNamespace(
+        command=command,
+        **{"lam" if f == "--lambda" else f[2:].replace("-", "_"): v for f, v in values.items()},
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("expand", help="full Schur expansion of a graph")
-    _add_graph_flags(p)
-    _add_common_flags(p, formats=("json", "csv", "ascii"))
-    p.add_argument("--route", default="auto", choices=ROUTES, help=ROUTE_HELP)
-    p.set_defaults(func=_cmd_expand)
-
-    p = sub.add_parser("coeff", help="one Schur coefficient of a graph")
-    _add_graph_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--lambda", dest="lam", required=True, help="target shape, e.g. 2,2")
-    p.add_argument("--route", default="auto", choices=ROUTES, help=ROUTE_HELP)
-    p.set_defaults(func=_cmd_coeff)
-
-    p = sub.add_parser("classify", help="Schur-positivity verdict for K_lambda")
-    _add_common_flags(p)
-    p.add_argument("--lambda", dest="lam", required=True, help="side sizes, e.g. 5,4,4,4")
-    p.add_argument("--verify", choices=("witness", "full"))
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("verify", help="check a verdict's certificate or rescan")
-    _add_common_flags(p)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--mode", default="witness", choices=("witness", "full"))
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("tabloids", help="list special rim hook tabloids of a shape")
-    _add_common_flags(p, formats=("json", "ascii"))
-    p.add_argument("--shape", required=True, help="shape, e.g. 4,2,2")
-    p.set_defaults(func=_cmd_tabloids)
-
-    p = sub.add_parser("nsp", help="spanning non-increasing sequence count of K_lambda")
-    _add_common_flags(p)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.set_defaults(func=_cmd_nsp)
-
-    p = sub.add_parser("oracle-check", help="run the cross-validation battery")
-    _add_common_flags(p)
-    p.add_argument("--max-n", type=int, default=5)
-    p.set_defaults(func=_cmd_oracle_check)
-
-    return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # -h or --help anywhere asks for help, even where a value was expected
+    if any(token in HELP_FLAGS for token in argv):
+        sys.stdout.write(_help(argv[0] if argv[0] in COMMANDS else None))
+        return 0
     try:
-        config = RunConfig.from_args(args)
-        return args.func(args, config)
-    except UsageError as exc:
-        print(f"chromsym: error: {exc}", file=sys.stderr)
-        return 2
-    except ChromsymError as exc:
+        args = _parse_args(argv)
+        return COMMANDS[args.command][0](args, RunConfig.from_args(args))
+    except (UsageError, ChromsymError) as exc:
         print(f"chromsym: error: {exc}", file=sys.stderr)
         return 2
 

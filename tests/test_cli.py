@@ -1,13 +1,17 @@
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chromsym.cli import canonical_json, main
+import chromsym
+from chromsym.cli import COMMANDS, canonical_json, main
 
 
 def run(capsys, *argv):
@@ -259,10 +263,53 @@ def test_oracle_check(capsys):
     assert all(line.startswith("ok") for line in lines)
 
 
-def test_usage_error_exit_code_from_argparse(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["expand", "--route", "bogus", "--multipartite", "2,2"])
-    assert info.value.code == 2
+def test_usage_error_is_one_stderr_line(capsys):
+    cases = [
+        (["expand", "--route", "bogus", "--multipartite", "2,2"], "--route: "),
+        (["coeff", "--multipartite", "2,2"], "--lambda is required"),
+        (["expand", "--multipartite", "2,2", "--max-vertices", "x"], "--max-vertices: "),
+        (["expand", "--mult", "2,2"], "expand: unknown flag '--mult'"),
+        (["nsp", "--lambda"], "--lambda: expected a value"),
+        (["nsp", "--lambda=--"], "--lambda: expected comma-separated integers"),
+        (["nsp", "--lambda", "-1,5"], "--lambda: "),
+        (["bogus"], "expected a command"),
+        ([], "expected a command"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"chromsym: error: {message}")
+
+
+def test_help_names_every_command_and_flag(capsys):
+    for argv in (["-h"], ["--help"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert all(command in out for command in COMMANDS)
+    for command, (_, _, flags, _) in COMMANDS.items():
+        for argv in ([command, "--help"], [command, "--lambda", "3", "-h"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and err == ""
+            assert out.startswith(f"usage: chromsym {command} ")
+            assert all(flag in out for flag in flags)
+
+
+def test_nsp_loads_neither_argparse_nor_the_battery():
+    # pytest itself imports argparse, so the check needs a fresh interpreter
+    script = (
+        "import sys\n"
+        "from chromsym import cli\n"
+        "code = cli.main(['nsp', '--lambda', '3'])\n"
+        "print(code, [m for m in ('argparse', 'chromsym.selfcheck') if m in sys.modules])\n"
+    )
+    src = str(Path(chromsym.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "1\n0 []\n"
 
 
 def test_bad_lambda(capsys):
@@ -394,10 +441,11 @@ def test_expand_sparse_order_of_14_by_sweep_and_peeling(capsys, monkeypatch, tmp
     assert run(capsys, *argv, "--route", "oracle") == auto
 
 
-# Fuzz of the whole command line. Values go in --flag=value form, so that
-# argparse never reads "-1,5" as an option; every graph has at most 8 vertices,
+# Fuzz of the whole command line: flags in --flag=value and --flag value form,
+# values that start with a dash, unknown, abbreviated, repeated and dangling
+# flags, and missing or unknown commands. Every graph has at most 8 vertices,
 # so every run is cheap whatever it asks for.
-JUNK = st.sampled_from(["", " ", "x", "1.5", "--", "2 2", "1e3", "+"])
+JUNK = st.sampled_from(["", " ", "x", "1.5", "--", "2 2", "1e3", "+", "-1,5"])
 PART = st.one_of(st.integers(-2, 4).map(str), JUNK)
 PARTS_TEXT = st.one_of(
     st.lists(st.integers(1, 4), min_size=1, max_size=4).map(lambda xs: ",".join(map(str, xs))),
@@ -408,6 +456,10 @@ JSON_SCALAR = st.one_of(SMALL, st.booleans(), st.none(), st.just(2.5), st.text(m
 PAIRS = st.one_of(
     st.lists(st.one_of(st.lists(SMALL, max_size=3), JSON_SCALAR), max_size=6),
     JSON_SCALAR,
+)
+MODES = st.sampled_from(["witness", "full"])
+STRAY_TOKENS = st.sampled_from(
+    ["--mult", "--lam", "--max-v", "--rou", "--bogus", "-x", "--", "3,2", "--route="]
 )
 
 
@@ -442,31 +494,46 @@ def invocations(draw):
     command = draw(
         st.sampled_from(["expand", "coeff", "classify", "verify", "tabloids", "nsp"])
     )
-    argv, stdin = [command], ""
+    flags, stdin = [], ""  # (flag, strategy for its value)
     if command in ("expand", "coeff"):
         source = draw(st.sampled_from(["--multipartite", "--graph-json", "--poset-json"]))
         if source == "--multipartite":
-            argv.append(f"--multipartite={draw(PARTS_TEXT)}")
+            flags.append((source, PARTS_TEXT))
         else:
-            argv.append(f"{source}=-")
+            flags.append((source, st.just("-")))
             key = "edges" if source == "--graph-json" else "covers"
             stdin = draw(well_formed_document(key) | MALFORMED_DOCUMENTS)
-        argv.append(f"--route={draw(st.sampled_from(['auto', 'ww', 'closed', 'oracle']))}")
+        flags.append(("--route", st.sampled_from(["auto", "ww", "closed", "oracle"])))
         if command == "coeff":
-            argv.append(f"--lambda={draw(PARTS_TEXT)}")
+            flags.append(("--lambda", PARTS_TEXT))
         else:
-            argv.append(f"--format={draw(st.sampled_from(['json', 'csv', 'ascii']))}")
+            flags.append(("--format", st.sampled_from(["json", "csv", "ascii"])))
     elif command == "tabloids":
-        argv.append(f"--shape={draw(PARTS_TEXT)}")
-        argv.append(f"--format={draw(st.sampled_from(['json', 'ascii']))}")
+        flags.append(("--shape", PARTS_TEXT))
+        flags.append(("--format", st.sampled_from(["json", "ascii"])))
     else:
-        argv.append(f"--lambda={draw(PARTS_TEXT)}")
+        flags.append(("--lambda", PARTS_TEXT))
         if command == "classify" and draw(st.booleans()):
-            argv.append(f"--verify={draw(st.sampled_from(['witness', 'full']))}")
+            flags.append(("--verify", MODES))
         if command == "verify":
-            argv.append(f"--mode={draw(st.sampled_from(['witness', 'full']))}")
+            flags.append(("--mode", MODES))
     if draw(st.booleans()):
-        argv.append(f"--max-vertices={draw(st.integers(-1, 9))}")
+        flags.append(("--max-vertices", st.integers(-1, 9).map(str)))
+    if draw(st.integers(0, 3)) == 3:
+        flags.append(draw(st.sampled_from(flags)))
+    argv = [command]
+    for flag, values in flags:
+        value = draw(values)
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    mutation = draw(st.sampled_from([None] * 4 + ["stray", "dangling", "command", "no command"]))
+    if mutation == "stray":
+        argv.insert(draw(st.integers(1, len(argv))), draw(STRAY_TOKENS))
+    elif mutation == "dangling":
+        argv.append(draw(st.sampled_from(flags))[0])
+    elif mutation == "command":
+        argv[0] = draw(st.sampled_from(["", "expnd", "Expand", "help", "--lambda"]))
+    elif mutation == "no command":
+        argv.pop(0)
     return argv, stdin
 
 
@@ -484,7 +551,7 @@ def test_fuzzed_command_lines_end_in_a_documented_exit(invocation):
     if code == 0:
         assert err == ""
     elif code == 1:
-        assert argv[0] == "verify" or any(a.startswith("--verify=") for a in argv)
+        assert argv[0] == "verify" or any(a.partition("=")[0] == "--verify" for a in argv)
     else:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("chromsym: error: ")
