@@ -14,7 +14,7 @@ from math import factorial
 
 from .errors import UnequalWeightError
 from .partitions import Partition, aspartition, partitions_of
-from .posets import Graph, semi_ordered_count
+from .posets import Graph, _semi_table
 from .symfunc import SymFunc
 
 
@@ -96,37 +96,46 @@ def enumerate_ssyt(shape, content):
     yield from rec(0, 0)
 
 
-def _horizontal_strips(shape: tuple[int, ...], size: int):
-    """Shapes nu <= shape with shape/nu a horizontal strip of `size` cells."""
-    ell = len(shape)
+def _horizontal_strips(shape: tuple[int, ...], size: int) -> list:
+    """Shapes nu <= shape with shape/nu a horizontal strip of `size` cells.
 
-    def rec(i, left, prev_kept):
-        if i == ell:
-            if left == 0:
-                yield ()
-            return
-        hi = min(shape[i], prev_kept)
-        lo = shape[i + 1] if i + 1 < ell else 0
-        for keep in range(hi, lo - 1, -1):
-            removed = shape[i] - keep
-            if removed > left:
-                continue
-            for rest in rec(i + 1, left - removed, keep):
-                yield (keep,) + rest
-
-    for nu in rec(0, size, shape[0] if shape else 0):
-        while nu and nu[-1] == 0:
-            nu = nu[:-1]
-        yield nu
+    Row i keeps between shape[i + 1] and shape[i] cells; the rows are
+    chosen top-down, keeping the number of cells still to remove, which the
+    rows below row i can cover only up to shape[i + 1].
+    """
+    partial = [((), size)]
+    for i, row in enumerate(shape):
+        lo = shape[i + 1] if i + 1 < len(shape) else 0
+        grown = []
+        for kept, left in partial:
+            for keep in range(min(row, row + lo - left), max(lo, row - left) - 1, -1):
+                grown.append((kept + (keep,), left - row + keep))
+        partial = grown
+    out = []
+    for nu, left in partial:
+        if not left:
+            while nu and nu[-1] == 0:
+                nu = nu[:-1]
+            out.append(nu)
+    return out
 
 
 @cache
 def _kostka(shape: tuple[int, ...], content: tuple[int, ...]) -> int:
-    """Count SSYT by stripping the largest entry as a horizontal strip."""
+    """Count SSYT by stripping the largest entry as a horizontal strip.
+
+    A shape that does not dominate the content has none, so such branches
+    are cut before any strip is listed.
+    """
     if not content:
         return 1 if not shape else 0
-    if sum(shape) != sum(content):
+    if sum(shape) != sum(content) or len(shape) > len(content):
         return 0
+    ahead = 0
+    for a, b in zip(shape, content):
+        ahead += a - b
+        if ahead < 0:
+            return 0
     last = content[-1]
     return sum(
         _kostka(nu, content[:-1]) for nu in _horizontal_strips(shape, last)
@@ -182,10 +191,7 @@ def x_in_monomial(graph: Graph) -> SymFunc:
     type mu: each stable partition contributes one augmented monomial. The
     coloring specialization test pins this bridge down.
     """
-    n = graph.size
-    return SymFunc(
-        "monomial", n, {mu: semi_ordered_count(graph, mu) for mu in partitions_of(n)}
-    )
+    return SymFunc("monomial", graph.size, _semi_table(graph))
 
 
 def monomial_to_schur(func: SymFunc) -> SymFunc:
@@ -193,36 +199,36 @@ def monomial_to_schur(func: SymFunc) -> SymFunc:
 
     Kostka unitriangularity makes this a forward substitution: when a
     partition is reached, every dominating one has been subtracted already.
+    K_lam,mu is 0 unless lam dominates mu, so only the contents mu after lam
+    in this order are subtracted.
     """
     if func.basis != "monomial":
         raise ValueError("input must be in the monomial basis")
-    residual = dict(func.coeffs)
+    order = [lam.parts for lam in partitions_of(func.degree)]
+    residual = {mu.parts: c for mu, c in func.coeffs.items()}
     out = {}
-    for lam in partitions_of(func.degree):
+    for i, lam in enumerate(order):
         c = residual.pop(lam, 0)
         if not c:
             continue
         out[lam] = c
-        for mu in partitions_of(func.degree):
-            if mu == lam:
-                continue
-            k = kostka(lam, mu)
+        for mu in order[i + 1 :]:
+            k = _kostka(lam, mu)
             if k:
                 residual[mu] = residual.get(mu, 0) - c * k
-        residual = {k2: v for k2, v in residual.items() if v}
-    if residual:
-        raise ValueError("not a symmetric function integer combination of Schur terms")
     return SymFunc("schur", func.degree, out)
 
 
 def schur_to_monomial(func: SymFunc) -> SymFunc:
-    """Expand each Schur term through its Kostka row."""
+    """Expand each Schur term through its Kostka row, over the contents at
+    or after the shape in reverse-lexicographic order."""
     if func.basis != "schur":
         raise ValueError("input must be in the schur basis")
+    order = [mu.parts for mu in partitions_of(func.degree)]
     coeffs = {}
     for lam, c in func.coeffs.items():
-        for mu in partitions_of(func.degree):
-            k = kostka(lam, mu)
+        for mu in order[order.index(lam.parts) :]:
+            k = _kostka(lam.parts, mu)
             if k:
                 coeffs[mu] = coeffs.get(mu, 0) + c * k
     return SymFunc("monomial", func.degree, coeffs)

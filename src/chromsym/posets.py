@@ -1,10 +1,11 @@
 """Finite posets, incomparability graphs, and stable-partition counting.
 
-Complete multipartite graphs are built as incomparability graphs of disjoint
+Complete multipartite graphs are the incomparability graphs of disjoint
 chain unions, which is also where the fast stable-partition counting path
 lives: a stable set of such a graph is always a subset of a single side, so
-counting reduces to distributing part sizes over sides. Any other graph
-counts every type at once by inclusion-exclusion over vertex subsets.
+the count table is a product over the sides of each side's set-partition
+types. Any other graph counts every type at once by inclusion-exclusion
+over vertex subsets.
 """
 
 from __future__ import annotations
@@ -147,10 +148,9 @@ class Graph:
 
     ``sides`` is set only for graphs built by :func:`multipartite`, recording
     the stable sides; it unlocks the fast counting path. ``_counts`` is the
-    graph's stable-partition count table, keyed by type and filled by
-    :func:`stable_partition_count`: one type at a time by side distribution
-    for multipartite graphs, every type in one inclusion-exclusion sweep for
-    any other graph.
+    graph's stable-partition count table, keyed by type and filled for every
+    type at the first read: by the product over the sides for multipartite
+    graphs, by one inclusion-exclusion sweep for any other graph.
     """
 
     __slots__ = ("size", "_adj", "sides", "_counts")
@@ -251,16 +251,16 @@ def incomparability_graph(poset: Poset) -> Graph:
 
 
 def multipartite(lam) -> tuple[Graph, Poset, MultipartiteSpec]:
-    """Build K_lambda as the incomparability graph of disjoint chains.
+    """Build K_lambda, the incomparability graph of disjoint chains.
 
     Side i holds lam[i] vertices, numbered consecutively; rank 0 is the
-    minimum of its chain. Returns the graph, the chain-union poset, and the
-    side bookkeeping.
+    minimum of its chain. Every vertex is adjacent to every vertex outside
+    its side. Returns the graph, the chain-union poset, and the side
+    bookkeeping.
     """
     lam = aspartition(lam)
     if not lam:
         raise EmptyPartitionError("a multipartite graph needs at least one side")
-    poset = Poset.chain_union(lam.parts)
     sides = []
     side_of = []
     rank_in_side = []
@@ -270,8 +270,14 @@ def multipartite(lam) -> tuple[Graph, Poset, MultipartiteSpec]:
         side_of.extend([i] * ln)
         rank_in_side.extend(range(ln))
         start += ln
-    graph = incomparability_graph(poset)
-    graph = Graph(graph.size, graph.edges(), sides=tuple(sides))
+    edges = [
+        (u, v)
+        for u in range(start)
+        for v in range(u + 1, start)
+        if side_of[u] != side_of[v]
+    ]
+    graph = Graph(start, edges, sides=tuple(sides))
+    poset = Poset.chain_union(lam.parts)
     return graph, poset, MultipartiteSpec(lam, tuple(side_of), tuple(rank_in_side))
 
 
@@ -391,30 +397,35 @@ def _block_split_ways(size: int, block_sizes: tuple[int, ...]) -> int:
     return ways
 
 
-@cache
-def multipartite_stable_partition_count(sides: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    """Stable partitions of K_sides of type mu, by distributing parts over sides.
+def _side_product_counts(sides: tuple[int, ...]) -> dict:
+    """{type tuple: stable partitions of K_sides of that type}, zeros left out.
 
-    Every stable set lives inside one side, so a stable partition is a choice,
-    per side, of a sub-multiset of mu summing to the side size, together with
-    a set partition of that side realizing it.
+    Every stable set lives inside one side, so a stable partition is one set
+    partition per side: the table is the product over the sides of each
+    side's set-partition types, weighted by :func:`_block_split_ways`.
     """
-    if sum(mu) != sum(sides):
-        return 0
-    if not sides:
-        return 1
-    first, rest = sides[0], sides[1:]
-    total = 0
-    for chosen, remaining in _split_choices(mu, first):
-        total += _block_split_ways(first, chosen) * multipartite_stable_partition_count(
-            rest, remaining
-        )
-    return total
+    table = {(): 1}
+    for size in sides:
+        types = [(mu.parts, _block_split_ways(size, mu.parts)) for mu in partitions_of(size)]
+        grown = {}
+        for left, count in table.items():
+            for right, ways in types:
+                key = tuple(sorted(left + right, reverse=True))
+                grown[key] = grown.get(key, 0) + count * ways
+        table = grown
+    return table
+
+
+def multipartite_stable_partition_count(sides: tuple[int, ...], mu: tuple[int, ...]) -> int:
+    """Stable partitions of K_sides of type mu, read from the side product
+    of :func:`_side_product_counts`; 0 when the weights disagree."""
+    return _side_product_counts(tuple(sides)).get(tuple(mu), 0)
 
 
 @cache
 def multipartite_has_stable_partition(sides: tuple[int, ...], mu: tuple[int, ...]) -> bool:
-    """Existence version of the side-distribution count, with early exit."""
+    """Whether K_sides has a stable partition of type mu: distributes the
+    parts of mu over the sides, one side at a time, with early exit."""
     if sum(mu) != sum(sides):
         return False
     if not sides:
@@ -475,29 +486,36 @@ def _sweep_counts(graph: Graph) -> dict:
     return table
 
 
+def _count_table(graph: Graph) -> dict:
+    """The graph's whole {type: count} table, filled at the first read.
+
+    A multipartite graph fills it by :func:`_side_product_counts`, any other
+    graph by one :func:`_sweep_counts`; either way every partition of n is a
+    key, zeros included.
+    """
+    table = graph._counts
+    if not table:
+        sizes = graph.side_sizes()
+        if sizes is not None:
+            counts = _side_product_counts(sizes)
+            table = {mu: counts.get(mu.parts, 0) for mu in partitions_of(graph.size)}
+        else:
+            table = _sweep_counts(graph)
+        # another thread may fill too; both publish the same whole table
+        graph._counts.update(table)
+    return table
+
+
 def stable_partition_count(graph: Graph, mu) -> int:
     """Number of unordered stable partitions of type `mu`.
 
-    Reads the graph's count table. A multipartite graph fills one entry per
-    first use by side distribution; any other graph fills every type in one
-    :func:`_sweep_counts` the first time any type is asked for. Returns 0
-    when the weights disagree.
+    Reads the graph's count table, which the first read fills for every
+    type (see :func:`_count_table`). Returns 0 when the weights disagree.
     """
     mu = aspartition(mu)
     if mu.n != graph.size:
         return 0
-    count = graph._counts.get(mu)
-    if count is None:
-        sizes = graph.side_sizes()
-        if sizes is not None:
-            count = multipartite_stable_partition_count(sizes, mu.parts)
-            graph._counts[mu] = count
-        else:
-            # another thread may sweep too; both publish the same whole table
-            table = _sweep_counts(graph)
-            graph._counts.update(table)
-            count = table[mu]
-    return count
+    return _count_table(graph)[mu]
 
 
 def semi_ordered_count(graph: Graph, mu) -> int:
@@ -507,6 +525,18 @@ def semi_ordered_count(graph: Graph, mu) -> int:
     for m in mu.multiplicities().values():
         count *= factorial(m)
     return count
+
+
+def _semi_table(graph: Graph) -> dict:
+    """{type tuple: semi-ordered count} over the types the graph has, read
+    from its count table in one pass."""
+    out = {}
+    for mu, count in _count_table(graph).items():
+        if count:
+            for m in mu.multiplicities().values():
+                count *= factorial(m)
+            out[mu.parts] = count
+    return out
 
 
 def has_stable_partition(graph: Graph, mu) -> bool:

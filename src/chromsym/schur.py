@@ -28,10 +28,10 @@ from math import perm
 from .errors import BadShapeError, OrderIncompatibleError
 from .oracle import monomial_to_schur, x_in_monomial
 from .partitions import Partition, aspartition, partitions_of
-from .posets import Graph, Poset, incomparability_graph, semi_ordered_count
+from .posets import Graph, Poset, _semi_table, incomparability_graph
 from .sequences import nsp_chain_union
 from .symfunc import SymFunc
-from .tabloids import signed_content_census, signed_g_tabloid_counts
+from .tabloids import _peel, signed_g_tabloid_counts
 
 ROUTES = ("auto", "ww", "tabloid", "tail", "closed", "oracle")
 
@@ -74,15 +74,17 @@ class ScanResult:
         return data
 
 
+def _ww_sum(semi: dict, lam: tuple[int, ...]) -> int:
+    # semi is a graph's _semi_table, lam a shape of the same weight
+    return sum(sign * semi.get(mu, 0) for mu, sign in _peel(lam).items())
+
+
 def coeff_ww(graph: Graph, lam) -> int:
     """Signed tabloid sum weighted by semi-ordered stable partition counts."""
     lam = aspartition(lam)
     if lam.n != graph.size:
         return 0
-    return sum(
-        sign * semi_ordered_count(graph, mu)
-        for mu, sign in signed_content_census(lam).items()
-    )
+    return _ww_sum(_semi_table(graph), lam.parts)
 
 
 def coeff_tabloids(graph: Graph, order, lam) -> int:
@@ -223,6 +225,18 @@ def coeff_report(graph: Graph, order, lam, route: str = "auto") -> CoeffReport:
     return CoeffReport(lam, pos - neg, "tabloid", (pos, neg))
 
 
+def _coefficients(graph: Graph, order, route: str):
+    """Yield (shape, coefficient) over every shape in reverse-lexicographic
+    order; ``ww`` reads one semi-ordered table for the whole pass."""
+    if route == "ww":
+        semi = _semi_table(graph)
+        for lam in partitions_of(graph.size):
+            yield lam, _ww_sum(semi, lam.parts)
+        return
+    for lam in partitions_of(graph.size):
+        yield lam, coeff_report(graph, order, lam, route).value
+
+
 def expand_schur(graph: Graph, order=None, route: str = "auto") -> SymFunc:
     """Full Schur expansion of the chromatic symmetric function of `graph`.
 
@@ -232,19 +246,13 @@ def expand_schur(graph: Graph, order=None, route: str = "auto") -> SymFunc:
     route = _pick_route(graph, route)
     if route == "oracle":
         return monomial_to_schur(x_in_monomial(graph))
-    coeffs = {}
-    for lam in partitions_of(graph.size):
-        value = coeff_report(graph, order, lam, route).value
-        if value:
-            coeffs[lam] = value
+    coeffs = {lam: value for lam, value in _coefficients(graph, order, route) if value}
     return SymFunc("schur", graph.size, coeffs)
 
 
 def positivity_scan(graph: Graph, order=None) -> ScanResult:
     """Scan all shapes in reverse-lexicographic order for a negative coefficient."""
-    route = _pick_route(graph, "auto")
-    for lam in partitions_of(graph.size):
-        value = coeff_report(graph, order, lam, route).value
+    for lam, value in _coefficients(graph, order, _pick_route(graph, "auto")):
         if value < 0:
             return ScanResult(False, (lam, value))
     return ScanResult(True, None)

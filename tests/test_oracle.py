@@ -1,9 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import chromsym.oracle as oracle
 from chromsym import (
+    Graph,
     KostkaMatrix,
     Partition,
+    Poset,
     SSYT,
     SymFunc,
     UnequalWeightError,
@@ -11,6 +14,8 @@ from chromsym import (
     dominates,
     enumerate_srh_tabloids,
     enumerate_ssyt,
+    expand_schur,
+    incomparability_graph,
     kostka,
     monomial_to_schur,
     multipartite,
@@ -20,7 +25,6 @@ from chromsym import (
     specialize_ones,
     x_in_monomial,
 )
-from chromsym import Graph
 
 
 def test_ssyt_validation():
@@ -110,22 +114,48 @@ def test_elementary_is_a_single_column():
 
 @st.composite
 def schur_functions(draw):
-    n = draw(st.integers(min_value=1, max_value=5))
-    parts = list(partitions_of(n))
-    values = draw(
-        st.lists(
+    """Degree up to 8; up to four nonzero coefficients, so that most are 0
+    once n >= 5."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    coeffs = draw(
+        st.dictionaries(
+            st.sampled_from(list(partitions_of(n))),
             st.integers(min_value=-4, max_value=4),
-            min_size=len(parts),
-            max_size=len(parts),
+            max_size=4,
         )
     )
-    return SymFunc("schur", n, dict(zip(parts, values)))
+    return SymFunc("schur", n, coeffs)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(schur_functions())
 def test_schur_monomial_round_trip(f):
     assert monomial_to_schur(schur_to_monomial(f)) == f
+
+
+def test_kostka_solve_skips_contents_before_the_shape(monkeypatch):
+    # K_lam,mu = 0 unless lam dominates mu, which implies lam >= mu
+    # lexicographically; the solve must not ask for the other pairs
+    poset = Poset(9, [(i, j) for i in range(9) for j in range(i + 3, 9)])
+    graph = incomparability_graph(poset)
+    real = oracle._kostka
+    depth = [0]
+    asked = []
+
+    def spy(shape, content):
+        if not depth[0]:
+            asked.append((shape, content))
+        depth[0] += 1
+        try:
+            return real(shape, content)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(oracle, "_kostka", spy)
+    expansion = expand_schur(graph, poset, "oracle")
+    assert asked
+    assert all(shape >= content for shape, content in asked)
+    assert expansion == expand_schur(graph, poset, "ww")
 
 
 def test_basis_guards():

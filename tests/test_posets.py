@@ -154,6 +154,25 @@ def test_fast_path_agrees_with_backtracking():
                 )
 
 
+def test_multipartite_count_table_is_whole_after_one_read():
+    for n in range(1, 9):
+        for lam in partitions_of(n):
+            g, _, _ = multipartite(lam)
+            assert stable_partition_count(g, lam) == 1, lam
+            assert set(g._counts) == set(partitions_of(n)), lam
+            bare = Graph(g.size, g.edges())
+            assert g._counts == {
+                mu: stable_partition_count_backtracking(bare, mu) for mu in partitions_of(n)
+            }, lam
+
+
+def test_multipartite_edges_match_the_chain_union():
+    for n in range(1, 9):
+        for lam in partitions_of(n):
+            g, _, _ = multipartite(lam)
+            assert g.edges() == incomparability_graph(Poset.chain_union(lam.parts)).edges()
+
+
 def test_stable_partitions_enumerator_matches_count():
     for lam in [(2, 2), (3, 2), (2, 2, 1)]:
         g, _, _ = multipartite(lam)
@@ -208,7 +227,7 @@ def test_count_table_counts_each_type_once_per_graph(monkeypatch):
     # another graph on the same edges keeps its own table
     assert stable_partition_count(Graph(5, c5.edges()), (2, 2, 1)) == 5
     assert len(sweeps) == 2
-    # multipartite graphs fill their table by side distribution, no sweep
+    # multipartite graphs fill their table by the side product, no sweep
     g32, _, _ = multipartite((3, 2))
     assert stable_partition_count(g32, (2, 2, 1)) == 3
     assert has_stable_partition(g32, (3, 2))
