@@ -48,7 +48,6 @@ from .partitions import (
 )
 from .posets import (
     Graph,
-    MultipartiteSpec,
     Poset,
     StablePartition,
     has_stable_partition,

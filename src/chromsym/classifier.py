@@ -60,7 +60,7 @@ class ClassificationReport:
 
 
 def _positive_reason(lam: Partition) -> str | None:
-    if lam.parts[0] <= 2:
+    if lam[0] <= 2:
         return REASON_ALL_PARTS_LE2
     rows = _shape_rows(lam)
     if rows and rows[0] == 1 and rows[2] == 0 and rows[1] >= 1:
@@ -70,18 +70,17 @@ def _positive_reason(lam: Partition) -> str | None:
 
 def _negative_case(lam: Partition) -> tuple[str, Partition | None]:
     """Reason and witness for a type outside the positive family."""
-    parts = lam.parts
-    k = len(parts)
-    if parts[0] > parts[-1] + 1:
+    k = len(lam)
+    if lam[0] > lam[-1] + 1:
         # lower the last largest part, raise the first smallest part
-        j = max(i for i in range(k) if parts[i] == parts[0])
-        i = min(i for i in range(k) if parts[i] == parts[-1])
-        witness = list(parts)
+        j = max(i for i in range(k) if lam[i] == lam[0])
+        i = min(i for i in range(k) if lam[i] == lam[-1])
+        witness = list(lam)
         witness[j] -= 1
         witness[i] += 1
         return REASON_UNBALANCED, Partition(sorted(witness, reverse=True))
-    m = parts[0]
-    alpha = parts.count(m)
+    m = lam[0]
+    alpha = lam.count(m)
     beta = k - alpha
     if alpha >= 2:
         witness = (m,) * (alpha - 2) + (m - 1,) * (beta + 2) + (2,)
@@ -99,7 +98,7 @@ def _searched_witness(lam: Partition) -> Partition | None:
     for mu in partitions_of(lam.n):
         if mu == lam or not dominates(lam, mu):
             continue
-        if not multipartite_has_stable_partition(lam.parts, mu.parts):
+        if not multipartite_has_stable_partition(lam, mu):
             return mu
     return None
 
@@ -127,7 +126,7 @@ def witness_for(lam) -> Partition | None:
     if len(lam) < 2:
         raise LengthOneError("witnesses need at least two sides")
     if _positive_reason(lam):
-        raise PositiveFamilyError(f"K_{tuple(lam.parts)} is Schur-positive")
+        raise PositiveFamilyError(f"K_{tuple(lam)} is Schur-positive")
     _, witness = _negative_case(lam)
     return witness
 
@@ -139,7 +138,7 @@ def _verify_witness(report: ClassificationReport) -> bool:
         return (
             mu is not None
             and dominates(lam, mu)
-            and not multipartite_has_stable_partition(lam.parts, mu.parts)
+            and not multipartite_has_stable_partition(lam, mu)
         )
     if report.reason == REASON_THREE_TWO_POWER:
         # the closed form is 0 on every shape with a row longer than 3
@@ -153,7 +152,7 @@ def _verify_witness(report: ClassificationReport) -> bool:
 
 
 def _verify_scan(report: ClassificationReport) -> bool:
-    graph, poset, _ = multipartite(report.type)
+    graph, poset = multipartite(report.type)
     scan = positivity_scan(graph, poset)
     ok = scan.all_nonnegative == (report.verdict == SCHUR_POSITIVE)
     if ok and _closed_family(graph):

@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass
 from types import SimpleNamespace
 
 from ._util import json_fields, json_ints
@@ -37,60 +36,11 @@ from .tabloids import enumerate_srh_tabloids, render_ascii
 
 DEFAULT_MAX_VERTICES = 12
 ENV_MAX_VERTICES = "CHROMSYM_MAX_VERTICES"
+ONE_SOURCE = "exactly one of --multipartite, --poset-json, --graph-json is required"
 
 
 class UsageError(Exception):
     """Bad flags or flag combinations; reported with exit code 2."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: command, graph source, format, size budget,
-    route, output.
-
-    ``max_vertices`` is the one size budget (``--max-vertices``, else
-    ``CHROMSYM_MAX_VERTICES``, else ``DEFAULT_MAX_VERTICES``) and must be
-    positive. It bounds the vertices of a graph or type and the cells of a
-    shape. At most one graph
-    source may be given (commands that need a graph require exactly one; the
-    loader enforces that part).
-    """
-
-    command: str
-    graph_source: tuple[str, str] | None
-    fmt: str
-    max_vertices: int
-    route: str
-    output: str | None
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        max_vertices = getattr(args, "max_vertices", None)
-        if max_vertices is None:
-            max_vertices = _default_max_vertices()
-        if max_vertices < 1:
-            raise UsageError(f"--max-vertices must be positive, got {max_vertices}")
-        sources = [
-            (flag, value)
-            for flag, value in (
-                ("--multipartite", getattr(args, "multipartite", None)),
-                ("--poset-json", getattr(args, "poset_json", None)),
-                ("--graph-json", getattr(args, "graph_json", None)),
-            )
-            if value is not None
-        ]
-        if len(sources) > 1:
-            raise UsageError(
-                "exactly one of --multipartite, --poset-json, --graph-json is required"
-            )
-        return cls(
-            command=args.command,
-            graph_source=sources[0] if sources else None,
-            fmt=getattr(args, "format", "json"),
-            max_vertices=max_vertices,
-            route=getattr(args, "route", "auto"),
-            output=getattr(args, "output", None),
-        )
 
 
 def canonical_json(data) -> str:
@@ -127,19 +77,17 @@ def _default_max_vertices() -> int:
         raise UsageError(f"{ENV_MAX_VERTICES} must be an integer, got {raw!r}") from exc
 
 
-def _load_graph(config: RunConfig) -> tuple[Graph, Poset | None, dict]:
-    """Resolve the configured graph source."""
-    if config.graph_source is None:
-        raise UsageError(
-            "exactly one of --multipartite, --poset-json, --graph-json is required"
-        )
-    flag, value = config.graph_source
+def _load_graph(args) -> tuple[Graph, Poset | None, dict]:
+    """Resolve the command line's one graph source."""
+    if args.graph_source is None:
+        raise UsageError(ONE_SOURCE)
+    flag, value = args.graph_source
     if flag == "--multipartite":
         parts = _parse_parts(value, flag)
         if not parts:
             raise UsageError("--multipartite needs at least one side size")
         try:
-            graph, poset, _ = multipartite(parts)
+            graph, poset = multipartite(parts)
         except (ChromsymError, ValueError) as exc:
             raise UsageError(f"--multipartite: {exc}") from exc
         return graph, poset, {"multipartite": parts}
@@ -150,7 +98,7 @@ def _load_graph(config: RunConfig) -> tuple[Graph, Poset | None, dict]:
         if "multipartite" in data:
             json_fields(data, ("multipartite",))
             parts = json_ints(data["multipartite"], "multipartite")
-            graph, poset, _ = multipartite(parts)
+            graph, poset = multipartite(parts)
             return graph, poset, {"multipartite": parts}
         if flag == "--poset-json":
             poset = Poset.from_json(data)
@@ -161,47 +109,48 @@ def _load_graph(config: RunConfig) -> tuple[Graph, Poset | None, dict]:
         raise UsageError(f"{flag}: {exc}") from exc
 
 
-def _emit(text: str, output: str | None):
+def _emit(text: str, args):
+    """Write the result to ``--output`` if given, else to stdout."""
     if not text.endswith("\n"):
         text += "\n"
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if not args.output:
         sys.stdout.write(text)
+        return
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.output}: {exc}") from exc
 
 
-def _check_size(n: int, config: RunConfig):
+def _check_size(n: int, args):
     """Refuse, before any work, a graph or type of n vertices or a shape of n
     cells that is over the size budget."""
-    if n > config.max_vertices:
-        raise UsageError(f"size {n} is above --max-vertices {config.max_vertices}")
+    if n > args.max_vertices:
+        raise UsageError(f"size {n} is above --max-vertices {args.max_vertices}")
 
 
-def _cmd_expand(args, config: RunConfig) -> int:
-    graph, poset, source = _load_graph(config)
-    _check_size(graph.size, config)
-    func = expand_schur(graph, poset, config.route)
-    if config.fmt == "csv":
-        lines = [
-            f"{','.join(str(p) for p in lam.parts)};{value}"
-            for lam, value in func.items()
-        ]
-        _emit("\n".join(lines) + "\n" if lines else "\n", config.output)
+def _cmd_expand(args) -> int:
+    graph, poset, source = _load_graph(args)
+    _check_size(graph.size, args)
+    func = expand_schur(graph, poset, args.route)
+    if args.format == "csv":
+        lines = [f"{','.join(map(str, lam))};{value}" for lam, value in func.items()]
+        _emit("\n".join(lines) + "\n" if lines else "\n", args)
         return 0
     payload = func.to_json()
     payload["graph"] = source
-    _emit(canonical_json(payload), config.output)
+    _emit(canonical_json(payload), args)
     return 0
 
 
-def _cmd_coeff(args, config: RunConfig) -> int:
-    graph, poset, source = _load_graph(config)
-    _check_size(graph.size, config)
-    report = coeff_report(graph, poset, _parse_lambda(args.lam), config.route)
+def _cmd_coeff(args) -> int:
+    graph, poset, source = _load_graph(args)
+    _check_size(graph.size, args)
+    report = coeff_report(graph, poset, _parse_lambda(args.lam), args.route)
     payload = report.to_json()
     payload["graph"] = source
-    _emit(canonical_json(payload), config.output)
+    _emit(canonical_json(payload), args)
     return 0
 
 
@@ -213,10 +162,10 @@ def _parse_lambda(text: str, flag: str = "--lambda") -> Partition:
         raise UsageError(f"{flag}: {exc}") from exc
 
 
-def _cmd_classify(args, config: RunConfig) -> int:
+def _cmd_classify(args) -> int:
     lam = _parse_lambda(args.lam)
     if args.verify == "full":
-        _check_size(lam.n, config)
+        _check_size(lam.n, args)
     try:
         if args.verify:
             mode = "witness" if args.verify == "witness" else "full_scan"
@@ -225,51 +174,50 @@ def _cmd_classify(args, config: RunConfig) -> int:
             report = classify(lam)
     except ChromsymError as exc:
         raise UsageError(str(exc)) from exc
-    _emit(canonical_json(report.to_json()), config.output)
+    _emit(canonical_json(report.to_json()), args)
     return 0 if not args.verify or report.verified else 1
 
 
-def _cmd_verify(args, config: RunConfig) -> int:
+def _cmd_verify(args) -> int:
     lam = _parse_lambda(args.lam)
     if args.mode == "full":
-        _check_size(lam.n, config)
+        _check_size(lam.n, args)
     mode = "witness" if args.mode == "witness" else "full_scan"
     try:
         report = verify_classification(lam, mode)
     except ChromsymError as exc:
         raise UsageError(str(exc)) from exc
-    _emit(canonical_json(report.to_json()), config.output)
+    _emit(canonical_json(report.to_json()), args)
     return 0 if report.verified else 1
 
 
-def _cmd_tabloids(args, config: RunConfig) -> int:
+def _cmd_tabloids(args) -> int:
     shape = _parse_lambda(args.shape, "--shape")
-    _check_size(shape.n, config)
+    _check_size(shape.n, args)
     tabloids = enumerate_srh_tabloids(shape)
-    if config.fmt == "ascii":
+    if args.format == "ascii":
         blocks = []
         for i, t in enumerate(tabloids, start=1):
             content = ",".join(str(x) for x in t.content)
             sign = "+1" if t.sign > 0 else "-1"
             blocks.append(f"[{i}] sign={sign} content=[{content}]\n{render_ascii(t)}")
-        _emit("\n\n".join(blocks) + "\n", config.output)
+        _emit("\n\n".join(blocks) + "\n", args)
         return 0
     payload = {
         "shape": shape.to_json(),
         "count": len(tabloids),
         "tabloids": [t.to_json() for t in tabloids],
     }
-    _emit(canonical_json(payload), config.output)
+    _emit(canonical_json(payload), args)
     return 0
 
 
-def _cmd_nsp(args, config: RunConfig) -> int:
-    lam = _parse_lambda(args.lam)
-    _emit(str(nsp_chain_union(lam.parts)), config.output)
+def _cmd_nsp(args) -> int:
+    _emit(str(nsp_chain_union(_parse_lambda(args.lam))), args)
     return 0
 
 
-def _cmd_oracle_check(args, config: RunConfig) -> int:
+def _cmd_oracle_check(args) -> int:
     from .selfcheck import CHECKS
 
     failures = 0
@@ -278,7 +226,7 @@ def _cmd_oracle_check(args, config: RunConfig) -> int:
         ok = check(args.max_n)
         failures += 0 if ok else 1
         lines.append(f"{'ok  ' if ok else 'FAIL'}  {name}")
-    _emit("\n".join(lines), config.output)
+    _emit("\n".join(lines), args)
     return 1 if failures else 0
 
 
@@ -391,7 +339,11 @@ def _parse_args(argv: list[str]) -> SimpleNamespace:
     Flags are matched in full (no prefixes); a repeated flag keeps its last
     value. The result carries ``command`` and one attribute per flag of the
     command (``--lambda`` as ``lam``, ``--max-n`` as ``max_n``), unset ones
-    holding their default or None.
+    holding their default or None. ``max_vertices`` is the one size budget
+    (``--max-vertices``, else ``CHROMSYM_MAX_VERTICES``, else
+    ``DEFAULT_MAX_VERTICES``) and must be positive; it bounds the vertices
+    of a graph or type and the cells of a shape. ``graph_source`` is the one
+    ``(flag, value)`` graph source given, or None; giving two is an error.
     """
     if not argv or argv[0] not in COMMANDS:
         got = f", got {argv[0]!r}" if argv else ""
@@ -420,8 +372,16 @@ def _parse_args(argv: list[str]) -> SimpleNamespace:
     for flag in required:
         if values[flag] is None:
             raise UsageError(f"{flag} is required")
+    if values["--max-vertices"] is None:
+        values["--max-vertices"] = _default_max_vertices()
+    if values["--max-vertices"] < 1:
+        raise UsageError(f"--max-vertices must be positive, got {values['--max-vertices']}")
+    sources = [(flag, values[flag]) for flag in GRAPH_FLAGS if values.get(flag) is not None]
+    if len(sources) > 1:
+        raise UsageError(ONE_SOURCE)
     return SimpleNamespace(
         command=command,
+        graph_source=sources[0] if sources else None,
         **{"lam" if f == "--lambda" else f[2:].replace("-", "_"): v for f, v in values.items()},
     )
 
@@ -434,7 +394,7 @@ def main(argv=None) -> int:
         return 0
     try:
         args = _parse_args(argv)
-        return COMMANDS[args.command][0](args, RunConfig.from_args(args))
+        return COMMANDS[args.command][0](args)
     except (UsageError, ChromsymError) as exc:
         print(f"chromsym: error: {exc}", file=sys.stderr)
         return 2

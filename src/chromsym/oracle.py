@@ -71,7 +71,7 @@ def enumerate_ssyt(shape, content):
     if shape.n != sum(content):
         return
     remaining = list(content)
-    rows = [[0] * ln for ln in shape.parts]
+    rows = [[0] * ln for ln in shape]
 
     def rec(r, c):
         if r == len(rows):
@@ -150,7 +150,7 @@ def kostka(lam, mu) -> int:
         raise UnequalWeightError(
             f"shape weight {lam.n} differs from content weight {mu.n}"
         )
-    return _kostka(lam.parts, mu.parts)
+    return _kostka(lam, mu)
 
 
 class KostkaMatrix:
@@ -204,8 +204,8 @@ def monomial_to_schur(func: SymFunc) -> SymFunc:
     """
     if func.basis != "monomial":
         raise ValueError("input must be in the monomial basis")
-    order = [lam.parts for lam in partitions_of(func.degree)]
-    residual = {mu.parts: c for mu, c in func.coeffs.items()}
+    order = list(partitions_of(func.degree))
+    residual = dict(func.coeffs)
     out = {}
     for i, lam in enumerate(order):
         c = residual.pop(lam, 0)
@@ -224,11 +224,11 @@ def schur_to_monomial(func: SymFunc) -> SymFunc:
     or after the shape in reverse-lexicographic order."""
     if func.basis != "schur":
         raise ValueError("input must be in the schur basis")
-    order = [mu.parts for mu in partitions_of(func.degree)]
+    order = list(partitions_of(func.degree))
     coeffs = {}
     for lam, c in func.coeffs.items():
-        for mu in order[order.index(lam.parts) :]:
-            k = _kostka(lam.parts, mu)
+        for mu in order[order.index(lam) :]:
+            k = _kostka(lam, mu)
             if k:
                 coeffs[mu] = coeffs.get(mu, 0) + c * k
     return SymFunc("monomial", func.degree, coeffs)
@@ -293,5 +293,5 @@ def specialize_ones(func: SymFunc, q: int) -> int:
             total += c * ways
         return total
     for lam, c in func.coeffs.items():
-        total += c * _ssyt_count_bounded(lam.parts, q)
+        total += c * _ssyt_count_bounded(lam, q)
     return total

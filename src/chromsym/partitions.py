@@ -8,120 +8,61 @@ from collections.abc import Iterable, Iterator
 from .errors import EmptyPartitionError, UnequalWeightError
 
 
-class Partition:
+class Partition(tuple):
     """A weakly decreasing tuple of positive integers.
 
-    The empty partition (of 0) is allowed everywhere. Instances hash and
-    compare like their part tuples, so dicts keyed by Partition can also be
-    probed with plain tuples.
+    The empty partition (of 0) is allowed everywhere. A Partition is a tuple:
+    it hashes, compares, slices and keys dicts exactly as its parts do, so a
+    dict keyed by Partition can be probed with plain tuples and vice versa.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts: Iterable[int] = ()):
-        p = tuple(int(x) for x in parts)
-        for i, x in enumerate(p):
+    def __new__(cls, parts: Iterable[int] = ()):
+        self = super().__new__(cls, map(int, parts))
+        for i, x in enumerate(self):
             if x < 1:
                 raise ValueError(f"partition parts must be >= 1, got {x}")
-            if i and p[i - 1] < x:
-                raise ValueError(f"partition parts must be weakly decreasing, got {p}")
-        self.parts = p
+            if i and self[i - 1] < x:
+                raise ValueError(
+                    f"partition parts must be weakly decreasing, got {tuple(self)}"
+                )
+        return self
 
     @property
     def n(self) -> int:
         """The weight, i.e. the sum of the parts."""
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        """Number of parts."""
-        return len(self.parts)
-
-    def multiplicity(self, size: int) -> int:
-        """Number of parts equal to `size`."""
-        return self.parts.count(size)
+        return sum(self)
 
     def multiplicities(self) -> Counter:
         """Counter mapping each part size to its multiplicity."""
-        return Counter(self.parts)
+        return Counter(self)
 
     def to_json(self) -> list[int]:
-        return list(self.parts)
-
-    @classmethod
-    def from_json(cls, data: Iterable[int]) -> "Partition":
-        return cls(data)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __bool__(self) -> bool:
-        return bool(self.parts)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        if isinstance(other, (tuple, list)):
-            return self.parts == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
+        return list(self)
 
     def __repr__(self) -> str:
-        return f"Partition{self.parts}"
+        return f"Partition{tuple(self)}"
 
 
-class Composition:
+class Composition(tuple):
     """A finite sequence of positive integers where order matters."""
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts: Iterable[int] = ()):
-        p = tuple(int(x) for x in parts)
-        for x in p:
+    def __new__(cls, parts: Iterable[int] = ()):
+        self = super().__new__(cls, map(int, parts))
+        for x in self:
             if x < 1:
                 raise ValueError(f"composition parts must be >= 1, got {x}")
-        self.parts = p
+        return self
 
     @property
     def n(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __bool__(self) -> bool:
-        return bool(self.parts)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Composition):
-            return self.parts == other.parts
-        if isinstance(other, (tuple, list)):
-            return self.parts == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
+        return sum(self)
 
     def __repr__(self) -> str:
-        return f"Composition{self.parts}"
+        return f"Composition{tuple(self)}"
 
 
 class Diagram:
@@ -137,7 +78,7 @@ class Diagram:
         self.shape = aspartition(shape)
         self.cells = frozenset(
             (r, c)
-            for r, row_len in enumerate(self.shape.parts, start=1)
+            for r, row_len in enumerate(self.shape, start=1)
             for c in range(1, row_len + 1)
         )
 
@@ -160,8 +101,6 @@ def aspartition(parts) -> Partition:
 
 def sort_to_partition(kappa) -> Partition:
     """Rearrange the parts of a composition into weakly decreasing order."""
-    if isinstance(kappa, Composition):
-        kappa = kappa.parts
     return Partition(sorted(kappa, reverse=True))
 
 
@@ -179,8 +118,8 @@ def dominates(lam, mu) -> bool:
         )
     acc_l = acc_m = 0
     for i in range(max(len(lam), len(mu))):
-        acc_l += lam.parts[i] if i < len(lam) else 0
-        acc_m += mu.parts[i] if i < len(mu) else 0
+        acc_l += lam[i] if i < len(lam) else 0
+        acc_m += mu[i] if i < len(mu) else 0
         if acc_l < acc_m:
             return False
     return True
@@ -191,7 +130,7 @@ def is_balanced(lam) -> bool:
     lam = aspartition(lam)
     if not lam:
         raise EmptyPartitionError("balancedness is undefined for the empty partition")
-    return lam.parts[0] <= lam.parts[-1] + 1
+    return lam[0] <= lam[-1] + 1
 
 
 def partitions_of(

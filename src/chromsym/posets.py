@@ -206,15 +206,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class MultipartiteSpec:
-    """Bookkeeping for K_lambda: which side and chain rank each vertex has."""
-
-    type: Partition
-    side_of: tuple[int, ...]
-    rank_in_side: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class StablePartition:
     """A division of the vertices into disjoint stable blocks."""
 
@@ -250,35 +241,25 @@ def incomparability_graph(poset: Poset) -> Graph:
     return Graph(poset.size, edges)
 
 
-def multipartite(lam) -> tuple[Graph, Poset, MultipartiteSpec]:
+def multipartite(lam) -> tuple[Graph, Poset]:
     """Build K_lambda, the incomparability graph of disjoint chains.
 
-    Side i holds lam[i] vertices, numbered consecutively; rank 0 is the
-    minimum of its chain. Every vertex is adjacent to every vertex outside
-    its side. Returns the graph, the chain-union poset, and the side
-    bookkeeping.
+    Side i holds lam[i] vertices, numbered consecutively; the lowest-numbered
+    vertex of a side is the minimum of its chain. Every vertex is adjacent to
+    every vertex outside its side. Returns the graph and the chain-union
+    poset.
     """
     lam = aspartition(lam)
     if not lam:
         raise EmptyPartitionError("a multipartite graph needs at least one side")
     sides = []
-    side_of = []
-    rank_in_side = []
     start = 0
-    for i, ln in enumerate(lam.parts):
+    for ln in lam:
         sides.append(tuple(range(start, start + ln)))
-        side_of.extend([i] * ln)
-        rank_in_side.extend(range(ln))
         start += ln
-    edges = [
-        (u, v)
-        for u in range(start)
-        for v in range(u + 1, start)
-        if side_of[u] != side_of[v]
-    ]
+    edges = [(u, v) for i, a in enumerate(sides) for b in sides[i + 1 :] for u in a for v in b]
     graph = Graph(start, edges, sides=tuple(sides))
-    poset = Poset.chain_union(lam.parts)
-    return graph, poset, MultipartiteSpec(lam, tuple(side_of), tuple(rank_in_side))
+    return graph, Poset.chain_union(lam)
 
 
 def _stable_extensions(adj, allowed_mask, base_vertex, size):
@@ -321,7 +302,7 @@ def _partition_blocks(graph: Graph, mu: Partition):
     Consumed lazily, so stable_partitions streams its results.
     """
     adj = graph._adj
-    remaining = Counter(mu.parts)
+    remaining = Counter(mu)
 
     def rec(uncovered, acc):
         if uncovered == 0:
@@ -406,7 +387,7 @@ def _side_product_counts(sides: tuple[int, ...]) -> dict:
     """
     table = {(): 1}
     for size in sides:
-        types = [(mu.parts, _block_split_ways(size, mu.parts)) for mu in partitions_of(size)]
+        types = [(mu, _block_split_ways(size, mu)) for mu in partitions_of(size)]
         grown = {}
         for left, count in table.items():
             for right, ways in types:
@@ -452,7 +433,7 @@ def _sweep_counts(graph: Graph) -> dict:
     """
     n = graph.size
     if n == 0:
-        return {Partition(()): 1}
+        return {Partition(): 1}
     full = (1 << n) - 1
     rows = []  # rows[j - 1][X] = s_j(X)
     prev = [1] * (full + 1)
@@ -474,8 +455,8 @@ def _sweep_counts(graph: Graph) -> dict:
     table = {}
     for mu in partitions_of(n):
         total = 0
-        if mu.parts[0] <= len(rows):
-            picks = [part - 1 for part in mu.parts]
+        if mu[0] <= len(rows):
+            picks = [part - 1 for part in mu]
             for profile, term in terms:
                 for i in picks:
                     term *= profile[i]
@@ -498,7 +479,7 @@ def _count_table(graph: Graph) -> dict:
         sizes = graph.side_sizes()
         if sizes is not None:
             counts = _side_product_counts(sizes)
-            table = {mu: counts.get(mu.parts, 0) for mu in partitions_of(graph.size)}
+            table = {mu: counts.get(mu, 0) for mu in partitions_of(graph.size)}
         else:
             table = _sweep_counts(graph)
         # another thread may fill too; both publish the same whole table
@@ -528,14 +509,14 @@ def semi_ordered_count(graph: Graph, mu) -> int:
 
 
 def _semi_table(graph: Graph) -> dict:
-    """{type tuple: semi-ordered count} over the types the graph has, read
-    from its count table in one pass."""
+    """{type: semi-ordered count} over the types the graph has, read from
+    its count table in one pass."""
     out = {}
     for mu, count in _count_table(graph).items():
         if count:
             for m in mu.multiplicities().values():
                 count *= factorial(m)
-            out[mu.parts] = count
+            out[mu] = count
     return out
 
 
@@ -550,7 +531,7 @@ def has_stable_partition(graph: Graph, mu) -> bool:
         return False
     sizes = graph.side_sizes()
     if sizes is not None:
-        return multipartite_has_stable_partition(sizes, mu.parts)
+        return multipartite_has_stable_partition(sizes, mu)
     return stable_partition_count(graph, mu) > 0
 
 

@@ -84,7 +84,7 @@ def coeff_ww(graph: Graph, lam) -> int:
     lam = aspartition(lam)
     if lam.n != graph.size:
         return 0
-    return _ww_sum(_semi_table(graph), lam.parts)
+    return _ww_sum(_semi_table(graph), lam)
 
 
 def coeff_tabloids(graph: Graph, order, lam) -> int:
@@ -116,7 +116,7 @@ def coeff_closed_2beta(beta: int, c: int, d: int) -> int:
 def _shape_rows(lam: Partition) -> tuple[int, int, int] | None:
     """Split a shape into (#rows of 3, #rows of 2, #rows of 1); None if a row exceeds 3."""
     threes = twos = ones = 0
-    for part in lam.parts:
+    for part in lam:
         if part > 3:
             return None
         if part == 3:
@@ -231,7 +231,7 @@ def _coefficients(graph: Graph, order, route: str):
     if route == "ww":
         semi = _semi_table(graph)
         for lam in partitions_of(graph.size):
-            yield lam, _ww_sum(semi, lam.parts)
+            yield lam, _ww_sum(semi, lam)
         return
     for lam in partitions_of(graph.size):
         yield lam, coeff_report(graph, order, lam, route).value

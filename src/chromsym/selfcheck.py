@@ -49,7 +49,7 @@ def kostka_matches_enumeration(max_n: int) -> bool:
     for n in range(max_n + 1):
         for lam in partitions_of(n):
             for mu in partitions_of(n):
-                if kostka(lam, mu) != sum(1 for _ in enumerate_ssyt(lam, mu.parts)):
+                if kostka(lam, mu) != sum(1 for _ in enumerate_ssyt(lam, mu)):
                     return False
     return True
 
@@ -81,7 +81,7 @@ def round_trip(max_n: int) -> bool:
 def route_agreement(max_n: int) -> bool:
     targets = [(2, 2), (3, 1), (3, 2)]
     for parts in targets:
-        graph, poset, _ = multipartite(parts)
+        graph, poset = multipartite(parts)
         truth = monomial_to_schur(x_in_monomial(graph))
         for mu in partitions_of(graph.size):
             reports = [
@@ -102,7 +102,7 @@ def route_agreement(max_n: int) -> bool:
 
 def coloring_specialization(max_n: int) -> bool:
     for parts in [(2, 1), (2, 2), (3, 1), (2, 2, 1)]:
-        graph, poset, _ = multipartite(parts)
+        graph, poset = multipartite(parts)
         func = expand_schur(graph, poset)
         for q in range(4):
             if specialize_ones(func, q) != coloring_count(graph, q):
@@ -125,7 +125,7 @@ def count_table_agreement(max_n: int) -> bool:
 
 def nsp_agreement(max_n: int) -> bool:
     return all(
-        nsp_chain_union(lam.parts) == nsp_bruteforce(Poset.chain_union(lam.parts))
+        nsp_chain_union(lam) == nsp_bruteforce(Poset.chain_union(lam))
         for n in range(max_n + 1)
         for lam in partitions_of(n)
     )

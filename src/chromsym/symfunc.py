@@ -47,7 +47,7 @@ class SymFunc:
 
     def items(self) -> list[tuple[Partition, int]]:
         """(partition, coefficient) pairs in reverse-lexicographic order."""
-        return sorted(self.coeffs.items(), key=lambda kv: kv[0].parts, reverse=True)
+        return sorted(self.coeffs.items(), reverse=True)
 
     def is_nonnegative(self) -> bool:
         return all(v >= 0 for v in self.coeffs.values())
@@ -80,5 +80,5 @@ class SymFunc:
         return NotImplemented
 
     def __repr__(self) -> str:
-        terms = ", ".join(f"{tuple(l.parts)}: {v}" for l, v in self.items())
+        terms = ", ".join(f"{tuple(lam)}: {v}" for lam, v in self.items())
         return f"SymFunc({self.basis!r}, {self.degree}, {{{terms}}})"

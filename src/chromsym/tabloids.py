@@ -114,7 +114,7 @@ class SRHTabloid:
             "shape": self.shape.to_json(),
             "hooks": [[list(cell) for cell in h.cells] for h in self.hooks],
             "sign": self.sign,
-            "content": list(self.content.parts),
+            "content": list(self.content),
         }
 
     def __eq__(self, other) -> bool:
@@ -125,7 +125,7 @@ class SRHTabloid:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.shape.parts, frozenset(h.cells for h in self.hooks)))
+        return hash((self.shape, frozenset(h.cells for h in self.hooks)))
 
     def __repr__(self) -> str:
         return f"SRHTabloid(shape={self.shape!r}, content={list(self.content)})"
@@ -158,7 +158,7 @@ class SRHGTabloid:
         return self.filling[cell]
 
     def tail_sequence(self) -> TailSequence:
-        shape = self.tabloid.shape.parts
+        shape = self.tabloid.shape
         rows = [r for r in range(len(shape), 0, -1) if shape[r - 1] == 1]
         return TailSequence(tuple(self.filling[(r, 1)] for r in rows))
 
@@ -178,7 +178,7 @@ class SRHGTabloid:
     def __hash__(self) -> int:
         return hash(
             (
-                self.tabloid.shape.parts,
+                self.tabloid.shape,
                 frozenset(h.cells for h in self.tabloid.hooks),
                 tuple(sorted(self.filling.items())),
             )
@@ -241,25 +241,21 @@ def _peel(shape: tuple[int, ...]) -> dict:
     return {content: sign for content, sign in out.items() if sign}
 
 
-@cache
-def _census(shape: tuple[int, ...]) -> MappingProxyType:
-    return MappingProxyType({Partition(c): sign for c, sign in _peel(shape).items()})
-
-
 def signed_content_census(lam) -> MappingProxyType:
     """{type: sum of signs} over the special rim hook tabloids of shape `lam`,
     grouped by sorted content; types whose signs cancel are left out.
 
     By Egecioglu-Remmel this is the column `lam` of the inverse Kostka
-    matrix. Computed by memoized peeling of the bottom hook, without
-    listing tilings or building tabloid objects; cached per shape.
+    matrix. A read-only view of the memoized peeling of the bottom hook
+    (:func:`_peel`), which lists no tilings and builds no tabloid objects;
+    its types are plain part tuples.
     """
-    return _census(aspartition(lam).parts)
+    return MappingProxyType(_peel(aspartition(lam)))
 
 
 def count_srh_tabloids(lam) -> int:
     """Number of special rim hook tabloids of the given shape."""
-    return len(_tilings(aspartition(lam).parts))
+    return len(_tilings(aspartition(lam)))
 
 
 def enumerate_srh_tabloids(lam) -> list[SRHTabloid]:
@@ -267,7 +263,7 @@ def enumerate_srh_tabloids(lam) -> list[SRHTabloid]:
     lam = aspartition(lam)
     return [
         SRHTabloid(lam, tuple(RimHook(cells) for cells in tiling))
-        for tiling in _tilings(lam.parts)
+        for tiling in _tilings(lam)
     ]
 
 
@@ -351,10 +347,10 @@ def enumerate_srh_g_tabloids(
     order = _resolve_order(order, graph.size)
     check_order_compatible(graph, order)
     out = []
-    for tiling in _tilings(lam.parts):
+    for tiling in _tilings(lam):
         flat = [cell for cells in tiling for cell in cells]
         tabloid = SRHTabloid(lam, tuple(RimHook(cells) for cells in tiling))
-        for assignment in _fillings(graph, order, lam.parts, tiling, tail_filter):
+        for assignment in _fillings(graph, order, lam, tiling, tail_filter):
             out.append(SRHGTabloid(tabloid, dict(zip(flat, assignment))))
     return out
 
@@ -371,14 +367,14 @@ def signed_g_tabloid_counts(
     order = _resolve_order(order, graph.size)
     check_order_compatible(graph, order)
     pos = neg = 0
-    for tiling in _tilings(lam.parts):
+    for tiling in _tilings(lam):
         n_steps = sum(
             1
             for cells in tiling
             for (r1, _), (r2, _) in zip(cells, cells[1:])
             if r2 < r1
         )
-        count = sum(1 for _ in _fillings(graph, order, lam.parts, tiling, tail_filter))
+        count = sum(1 for _ in _fillings(graph, order, lam, tiling, tail_filter))
         if n_steps % 2:
             neg += count
         else:
@@ -411,7 +407,7 @@ def tail_head_split(tabloid: SRHGTabloid) -> tuple[dict, TailSequence]:
     The tail collects the length-1 rows bottom to top; the head is the
     cell-to-vertex map of all longer rows.
     """
-    shape = tabloid.tabloid.shape.parts
+    shape = tabloid.tabloid.shape
     head = {
         (r, c): v for (r, c), v in tabloid.filling.items() if shape[r - 1] > 1
     }
@@ -440,7 +436,7 @@ def psi_involution(tabloid: SRHGTabloid, poset: Poset) -> SRHGTabloid:
     )
     if j is None:
         raise NoAscentError("tail sequence has no ascent")
-    ell = len(tabloid.tabloid.shape.parts)
+    ell = len(tabloid.tabloid.shape)
     lower_cell = (ell - j, 1)
     upper_cell = (ell - j - 1, 1)
     i_low, hook_low = _hook_with_cell(tabloid.tabloid, lower_cell)
@@ -471,7 +467,7 @@ def render_ascii(tabloid: SRHTabloid) -> str:
     for i, hook in enumerate(tabloid.hooks):
         for cell in hook.cells:
             label[cell] = alphabet[i]
-    shape = tabloid.shape.parts
+    shape = tabloid.shape
     lines = [
         "".join(label[(r, c)] for c in range(1, shape[r - 1] + 1))
         for r in range(1, len(shape) + 1)

@@ -105,9 +105,7 @@ def test_witness_validity_sweep():
                 assert report.reason == "BipartiteSmall"
                 continue
             assert dominates(lam, report.witness)
-            assert not multipartite_has_stable_partition(
-                lam.parts, report.witness.parts
-            )
+            assert not multipartite_has_stable_partition(lam, report.witness)
 
 
 def test_verify_witness_mode():
@@ -178,7 +176,7 @@ def theorem_mismatches(types):
     closed forms."""
     bad = []
     for lam in types:
-        graph, poset, _ = multipartite(lam)
+        graph, poset = multipartite(lam)
         ww = expand_schur(graph, poset, "ww")
         positive = all(c >= 0 for c in ww.coeffs.values())
         if positive != (classify(lam).verdict == "SchurPositive"):

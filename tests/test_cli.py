@@ -255,6 +255,16 @@ def test_output_file(capsys, tmp_path):
     assert data["n"] == 4
 
 
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
+    missing = tmp_path / "no such dir" / "x"
+    for target in (missing, tmp_path):
+        code, out, err = run(capsys, "nsp", "--lambda", "3", "--output", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith(f"chromsym: error: cannot write {target}: ")
+        assert len(err.splitlines()) == 1
+    assert not missing.parent.exists()
+
+
 def test_oracle_check(capsys):
     code, out, _ = run(capsys, "oracle-check", "--max-n", "4")
     assert code == 0

@@ -12,11 +12,12 @@ from chromsym import (
     partitions_of,
     sort_to_partition,
 )
+from chromsym.cli import main
 
 
 def test_partition_validation():
-    assert Partition((3, 2, 2)).parts == (3, 2, 2)
-    assert Partition().parts == ()
+    assert tuple(Partition((3, 2, 2))) == (3, 2, 2)
+    assert tuple(Partition()) == ()
     assert Partition().n == 0
     with pytest.raises(ValueError):
         Partition((2, 3))
@@ -24,12 +25,52 @@ def test_partition_validation():
         Partition((3, 0))
 
 
+def test_partition_validation_messages():
+    with pytest.raises(ValueError, match=r"^partition parts must be weakly decreasing, got \(2, 3\)$"):
+        Partition((2, 3))
+    with pytest.raises(ValueError, match=r"^partition parts must be >= 1, got 0$"):
+        Partition((3, 0))
+    with pytest.raises(ValueError, match=r"^composition parts must be >= 1, got -1$"):
+        Composition((2, -1))
+    assert repr(Partition((3, 2))) == "Partition(3, 2)"
+    assert repr(Partition((3,))) == "Partition(3,)"
+    assert repr(Composition((2, 3))) == "Composition(2, 3)"
+
+
+
+def test_command_line_validation_messages(capsys):
+    assert main(["expand", "--multipartite", "2,3"]) == 2
+    assert capsys.readouterr().err == (
+        "chromsym: error: --multipartite: partition parts must be weakly decreasing, got (2, 3)\n"
+    )
+    assert main(["nsp", "--lambda", "2,0"]) == 2
+    assert capsys.readouterr().err == (
+        "chromsym: error: --lambda: partition parts must be >= 1, got 0\n"
+    )
+
+
+def test_partition_is_a_tuple():
+    lam = Partition((2, 1))
+    assert isinstance(lam, tuple)
+    assert isinstance(Composition((1, 2)), tuple)
+    assert lam == (2, 1) and (2, 1) == lam
+    assert hash(lam) == hash((2, 1))
+    assert {lam: "x"}[(2, 1)] == "x"
+    assert {(2, 1): "y"}[lam] == "y"
+    assert type(lam[:1]) is tuple and lam[:1] == (2,)
+    assert type(lam + (1,)) is tuple
+    assert lam != [2, 1]
+    assert Composition((2, 3)) != [2, 3]
+    assert Partition((3, 1)) > Partition((2, 2))
+    assert not Partition() and Partition((1,))
+
+
 def test_partition_accessors():
     lam = Partition((5, 5, 3, 3, 1))
     assert lam.n == 17
-    assert lam.length == 5
-    assert lam.multiplicity(5) == 2
-    assert lam.multiplicity(2) == 0
+    assert len(lam) == 5
+    assert lam.count(5) == 2
+    assert lam.count(2) == 0
     assert lam.multiplicities() == {5: 2, 3: 2, 1: 1}
     assert lam == (5, 5, 3, 3, 1)
     assert {lam: "x"}[(5, 5, 3, 3, 1)] == "x"
@@ -38,14 +79,14 @@ def test_partition_accessors():
 def test_partition_json_round_trip():
     lam = Partition((3, 2, 2))
     assert lam.to_json() == [3, 2, 2]
-    assert Partition.from_json([3, 2, 2]) == lam
-    assert Partition.from_json([]) == Partition()
+    assert Partition([3, 2, 2]) == lam
+    assert Partition([]) == Partition()
 
 
 def test_composition():
     kappa = Composition((2, 3, 2))
     assert kappa.n == 7
-    assert kappa.length == 3
+    assert len(kappa) == 3
     assert kappa == (2, 3, 2)
     with pytest.raises(ValueError):
         Composition((1, 0))
@@ -71,7 +112,7 @@ def test_sort_to_partition():
 def test_sort_to_partition_is_order_free_and_idempotent(parts):
     sorted_once = sort_to_partition(parts)
     assert sort_to_partition(reversed(parts)) == sorted_once
-    assert sort_to_partition(sorted_once.parts) == sorted_once
+    assert sort_to_partition(sorted_once) == sorted_once
 
 
 def test_dominates_examples():
@@ -119,7 +160,7 @@ def test_partitions_of_small_cases():
 
 def test_partitions_of_reverse_lexicographic_order():
     for n in range(9):
-        seq = [p.parts for p in partitions_of(n)]
+        seq = list(partitions_of(n))
         assert seq == sorted(seq, reverse=True)
         assert len(set(seq)) == len(seq)
 

@@ -91,16 +91,16 @@ def test_graph_validation():
 
 
 def test_multipartite_shapes():
-    claw, _, spec = multipartite((3, 1))
+    claw, claw_poset = multipartite((3, 1))
     assert claw.edges() == [(0, 3), (1, 3), (2, 3)]
-    assert spec.side_of == (0, 0, 0, 1)
-    assert spec.rank_in_side == (0, 1, 2, 0)
+    assert claw.sides == ((0, 1, 2), (3,))
+    assert claw_poset.leq(0, 1) and claw_poset.leq(1, 2) and not claw_poset.comparable(2, 3)
 
-    c4, poset, _ = multipartite((2, 2))
+    c4, poset = multipartite((2, 2))
     assert c4.edges() == [(0, 2), (0, 3), (1, 2), (1, 3)]
     assert poset.leq(0, 1) and not poset.leq(0, 2)
 
-    edgeless, _, _ = multipartite((5,))
+    edgeless, _ = multipartite((5,))
     assert edgeless.edges() == []
 
     with pytest.raises(EmptyPartitionError):
@@ -108,33 +108,34 @@ def test_multipartite_shapes():
 
 
 def test_stable_sets():
-    g32, _, _ = multipartite((3, 2))
+    g32, _ = multipartite((3, 2))
     assert list(stable_sets(g32, 3)) == [frozenset({0, 1, 2})]
     assert list(stable_sets(g32, 0)) == [frozenset()]
-    c4, _, _ = multipartite((2, 2))
+    c4, _ = multipartite((2, 2))
     assert sorted(stable_sets(c4, 2)) == [frozenset({0, 1}), frozenset({2, 3})]
 
 
 def test_stable_sets_of_multipartite_live_in_one_side():
     for n in range(1, 11):
         for lam in partitions_of(n):
-            g, _, spec = multipartite(lam)
+            g, _ = multipartite(lam)
+            side_of = {v: i for i, side in enumerate(g.sides) for v in side}
             total = 0
             for size in range(1, g.size + 1):
                 for s in stable_sets(g, size):
                     total += 1
-                    assert len({spec.side_of[v] for v in s}) == 1
+                    assert len({side_of[v] for v in s}) == 1
             # conversely, every nonempty subset of a side is stable
             assert total == sum(2**part - 1 for part in lam)
 
 
 def test_stable_partition_counts():
-    c4, _, _ = multipartite((2, 2))
+    c4, _ = multipartite((2, 2))
     assert stable_partition_count(c4, (2, 2)) == 1
-    g32, _, _ = multipartite((3, 2))
+    g32, _ = multipartite((3, 2))
     assert stable_partition_count(g32, (2, 2, 1)) == 3
     for lam in [(3, 2), (2, 2, 2), (4, 1)]:
-        g, _, _ = multipartite(lam)
+        g, _ = multipartite(lam)
         assert stable_partition_count(g, lam) == 1
     # weight mismatch returns zero instead of raising
     assert stable_partition_count(c4, (2, 2, 2)) == 0
@@ -143,13 +144,13 @@ def test_stable_partition_counts():
 def test_fast_path_agrees_with_backtracking():
     for n in range(1, 11):
         for lam in partitions_of(n):
-            g, _, _ = multipartite(lam)
+            g, _ = multipartite(lam)
             bare = Graph(g.size, g.edges())
             for mu in partitions_of(n):
-                fast = multipartite_stable_partition_count(lam.parts, mu.parts)
+                fast = multipartite_stable_partition_count(lam, mu)
                 slow = stable_partition_count_backtracking(bare, mu)
                 assert fast == slow, (lam, mu)
-                assert multipartite_has_stable_partition(lam.parts, mu.parts) == (
+                assert multipartite_has_stable_partition(lam, mu) == (
                     slow > 0
                 )
 
@@ -157,7 +158,7 @@ def test_fast_path_agrees_with_backtracking():
 def test_multipartite_count_table_is_whole_after_one_read():
     for n in range(1, 9):
         for lam in partitions_of(n):
-            g, _, _ = multipartite(lam)
+            g, _ = multipartite(lam)
             assert stable_partition_count(g, lam) == 1, lam
             assert set(g._counts) == set(partitions_of(n)), lam
             bare = Graph(g.size, g.edges())
@@ -169,13 +170,13 @@ def test_multipartite_count_table_is_whole_after_one_read():
 def test_multipartite_edges_match_the_chain_union():
     for n in range(1, 9):
         for lam in partitions_of(n):
-            g, _, _ = multipartite(lam)
-            assert g.edges() == incomparability_graph(Poset.chain_union(lam.parts)).edges()
+            g, _ = multipartite(lam)
+            assert g.edges() == incomparability_graph(Poset.chain_union(lam)).edges()
 
 
 def test_stable_partitions_enumerator_matches_count():
     for lam in [(2, 2), (3, 2), (2, 2, 1)]:
-        g, _, _ = multipartite(lam)
+        g, _ = multipartite(lam)
         for mu in partitions_of(g.size):
             found = list(stable_partitions(g, mu))
             assert len(found) == stable_partition_count(g, mu)
@@ -186,9 +187,9 @@ def test_stable_partitions_enumerator_matches_count():
 
 
 def test_semi_ordered_counts():
-    c4, _, _ = multipartite((2, 2))
+    c4, _ = multipartite((2, 2))
     assert semi_ordered_count(c4, (2, 2)) == 2
-    g32, _, _ = multipartite((3, 2))
+    g32, _ = multipartite((3, 2))
     assert semi_ordered_count(g32, (1, 1, 1, 1, 1)) == 120
     # distinct part sizes leave the count unchanged
     assert semi_ordered_count(g32, (3, 2)) == stable_partition_count(g32, (3, 2))
@@ -196,7 +197,7 @@ def test_semi_ordered_counts():
 
 def test_semi_ordered_divisible_by_plain_count():
     for lam in [(2, 2), (3, 2), (2, 2, 1), (3, 1)]:
-        g, _, _ = multipartite(lam)
+        g, _ = multipartite(lam)
         for mu in partitions_of(g.size):
             plain = stable_partition_count(g, mu)
             if plain:
@@ -228,7 +229,7 @@ def test_count_table_counts_each_type_once_per_graph(monkeypatch):
     assert stable_partition_count(Graph(5, c5.edges()), (2, 2, 1)) == 5
     assert len(sweeps) == 2
     # multipartite graphs fill their table by the side product, no sweep
-    g32, _, _ = multipartite((3, 2))
+    g32, _ = multipartite((3, 2))
     assert stable_partition_count(g32, (2, 2, 1)) == 3
     assert has_stable_partition(g32, (3, 2))
     assert len(sweeps) == 2
@@ -289,12 +290,12 @@ def test_count_table_shared_across_threads():
 
 
 def test_has_stable_partition():
-    g, _, _ = multipartite((5, 5, 5, 4, 3, 3))
+    g, _ = multipartite((5, 5, 5, 4, 3, 3))
     assert has_stable_partition(g, (5, 5, 5, 4, 3, 3))
     assert not has_stable_partition(g, (5, 5, 4, 4, 4, 3))
-    g2, _, _ = multipartite((6, 6, 5, 5, 5))
+    g2, _ = multipartite((6, 6, 5, 5, 5))
     assert not has_stable_partition(g2, (5, 5, 5, 5, 5, 2))
-    anything, _, _ = multipartite((4, 3))
+    anything, _ = multipartite((4, 3))
     assert has_stable_partition(anything, (1,) * 7)
 
 
@@ -306,18 +307,18 @@ def test_has_stable_partition_generic_graph():
 
 
 def test_niceness_violation():
-    g33, _, _ = multipartite((3, 3))
+    g33, _ = multipartite((3, 3))
     assert niceness_violation(g33, (3, 3)) == (2, 2, 2)
-    g, _, _ = multipartite((5, 4, 4, 4))
+    g, _ = multipartite((5, 4, 4, 4))
     assert niceness_violation(g, (5, 4, 4, 4)) == (5, 4, 3, 3, 2)
-    edgeless, _, _ = multipartite((5,))
+    edgeless, _ = multipartite((5,))
     assert niceness_violation(edgeless, (5,)) is None
     with pytest.raises(ValueError):
         niceness_violation(g33, (4, 2))
 
 
 def test_niceness_violation_length_bound():
-    g33, _, _ = multipartite((3, 3))
+    g33, _ = multipartite((3, 3))
     # no dominated type of length <= 2 is missing, the violation needs 3 blocks
     assert niceness_violation(g33, (3, 3), max_length=2) is None
     assert niceness_violation(g33, (3, 3), max_length=3) == (2, 2, 2)

@@ -57,8 +57,8 @@ def test_nsp_chain_union_values():
 def test_nsp_chain_union_matches_bruteforce():
     for n in range(8):
         for lam in partitions_of(n):
-            expected = nsp_bruteforce(Poset.chain_union(lam.parts))
-            assert nsp_chain_union(lam.parts) == expected, lam
+            expected = nsp_bruteforce(Poset.chain_union(lam))
+            assert nsp_chain_union(lam) == expected, lam
 
 
 def test_nsp_invariant_under_chain_order():
