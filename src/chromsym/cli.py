@@ -20,6 +20,7 @@ against ``--max-vertices`` once, before that work starts.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import sys
@@ -121,6 +122,24 @@ def _emit(text: str, args):
             fh.write(text)
     except OSError as exc:
         raise UsageError(f"cannot write {args.output}: {exc}") from exc
+
+
+def _check_output(path: str):
+    """Refuse, before any work, an ``--output`` path that cannot be written.
+
+    Nothing is opened here, so a run that fails later leaves an existing
+    file as it was; :func:`_emit` still reports a write that fails anyway.
+    """
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        reason = errno.EISDIR
+    elif not os.path.isdir(parent):
+        reason = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        reason = errno.EACCES
+    else:
+        return
+    raise UsageError(f"cannot write {path}: {os.strerror(reason)}")
 
 
 def _check_size(n: int, args):
@@ -394,6 +413,8 @@ def main(argv=None) -> int:
         return 0
     try:
         args = _parse_args(argv)
+        if args.output:
+            _check_output(args.output)
         return COMMANDS[args.command][0](args)
     except (UsageError, ChromsymError) as exc:
         print(f"chromsym: error: {exc}", file=sys.stderr)

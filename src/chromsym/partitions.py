@@ -160,5 +160,6 @@ def partitions_of(
             for rest in rec(remaining - first, first, room - 1):
                 yield (first, *rest)
 
+    # parts built here are valid, so skip the validating constructor
     for parts in rec(n, cap, slots):
-        yield Partition(parts)
+        yield tuple.__new__(Partition, parts)

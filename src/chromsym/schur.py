@@ -3,8 +3,9 @@
 Four routes compute the same numbers and check each other:
 
 * ``ww``      - signed content census of the shape's special rim hook
-                tabloids, weighted by semi-ordered stable partition counts
-                from the graph's count table;
+                tabloids with hooks of at most the independence number,
+                weighted by semi-ordered stable partition counts from the
+                graph's count table;
 * ``tabloid`` - signed count of vertex-filled tabloids under a compatible
                 vertex order;
 * ``tail``    - the tabloid route restricted to tabloids whose tail sequence
@@ -28,10 +29,10 @@ from math import perm
 from .errors import BadShapeError, OrderIncompatibleError
 from .oracle import monomial_to_schur, x_in_monomial
 from .partitions import Partition, aspartition, partitions_of
-from .posets import Graph, Poset, _semi_table, incomparability_graph
+from .posets import Graph, Poset, _count_table, _semi_table, incomparability_graph
 from .sequences import nsp_chain_union
 from .symfunc import SymFunc
-from .tabloids import _peel, signed_g_tabloid_counts
+from .tabloids import _content_code, _peel, signed_g_tabloid_counts
 
 ROUTES = ("auto", "ww", "tabloid", "tail", "closed", "oracle")
 
@@ -74,9 +75,21 @@ class ScanResult:
         return data
 
 
-def _ww_sum(semi: dict, lam: tuple[int, ...]) -> int:
-    # semi is a graph's _semi_table, lam a shape of the same weight
-    return sum(sign * semi.get(mu, 0) for mu, sign in _peel(lam).items())
+def _ww_weights(graph: Graph) -> tuple[dict, int]:
+    """The graph's semi-ordered table keyed by content code, and the largest
+    part of a type it has: the independence number, 0 for the empty graph.
+
+    A tiling with a hook longer than that has a content whose count is 0,
+    so the census of hooks up to that bound gives the same sum.
+    """
+    semi = _semi_table(graph)
+    cap = max((mu[0] for mu in semi if mu), default=0)
+    return {_content_code(mu): count for mu, count in semi.items()}, cap
+
+
+def _ww_sum(weights: dict, cap: int, lam: tuple[int, ...]) -> int:
+    # weights and cap come from _ww_weights of a graph of the shape's weight
+    return sum(sign * weights.get(code, 0) for code, sign in _peel(lam, cap).items())
 
 
 def coeff_ww(graph: Graph, lam) -> int:
@@ -84,7 +97,7 @@ def coeff_ww(graph: Graph, lam) -> int:
     lam = aspartition(lam)
     if lam.n != graph.size:
         return 0
-    return _ww_sum(_semi_table(graph), lam)
+    return _ww_sum(*_ww_weights(graph), lam)
 
 
 def coeff_tabloids(graph: Graph, order, lam) -> int:
@@ -227,11 +240,12 @@ def coeff_report(graph: Graph, order, lam, route: str = "auto") -> CoeffReport:
 
 def _coefficients(graph: Graph, order, route: str):
     """Yield (shape, coefficient) over every shape in reverse-lexicographic
-    order; ``ww`` reads one semi-ordered table for the whole pass."""
+    order; ``ww`` reads one semi-ordered table for the whole pass and walks
+    the shapes that key the graph's count table."""
     if route == "ww":
-        semi = _semi_table(graph)
-        for lam in partitions_of(graph.size):
-            yield lam, _ww_sum(semi, lam)
+        weights, cap = _ww_weights(graph)
+        for lam in _count_table(graph):
+            yield lam, _ww_sum(weights, cap, lam)
         return
     for lam in partitions_of(graph.size):
         yield lam, coeff_report(graph, order, lam, route).value

@@ -30,7 +30,7 @@ from .posets import (
 from .schur import coeff_report, expand_schur
 from .sequences import nsp_bruteforce, nsp_chain_union
 from .symfunc import SymFunc
-from .tabloids import enumerate_srh_tabloids
+from .tabloids import _content_parts, _peel, enumerate_srh_tabloids
 
 
 def kostka_unitriangular(max_n: int) -> bool:
@@ -65,6 +65,22 @@ def inverse_kostka_census(max_n: int) -> bool:
         for lam in partitions_of(n):
             for mu in partitions_of(n):
                 if inv.get((mu, lam), 0) != census.get((mu, lam), 0):
+                    return False
+    return True
+
+
+def peeled_census_by_hook_bound(max_n: int) -> bool:
+    for n in range(max_n + 1):
+        for lam in partitions_of(n):
+            tabloids = enumerate_srh_tabloids(lam)
+            for cap in range(n + 1):
+                census = {}
+                for t in tabloids:
+                    if max(t.content, default=0) <= cap:
+                        key = sort_to_partition(t.content)
+                        census[key] = census.get(key, 0) + t.sign
+                peeled = {_content_parts(code): s for code, s in _peel(lam, cap).items()}
+                if peeled != {mu: s for mu, s in census.items() if s}:
                     return False
     return True
 
@@ -135,6 +151,7 @@ CHECKS = (
     ("kostka unitriangular", kostka_unitriangular),
     ("kostka matches tableau enumeration", kostka_matches_enumeration),
     ("inverse kostka matches signed tabloid census", inverse_kostka_census),
+    ("peeled census matches enumeration at every hook bound", peeled_census_by_hook_bound),
     ("schur/monomial round trip", round_trip),
     ("coefficient routes agree", route_agreement),
     ("expansion counts proper colorings", coloring_specialization),

@@ -215,30 +215,65 @@ def _tilings(shape: tuple[int, ...]) -> tuple:
     return tuple(out)
 
 
+# A content is coded as one integer: the multiplicity of part k sits in bits
+# _SLOT*(k-1) .. _SLOT*k - 1, so adding a hook of k cells adds 1 << _SLOT*(k-1).
+_SLOT = 8
+_SLOT_MASK = (1 << _SLOT) - 1
+
+
+def _content_code(parts) -> int:
+    """The integer code of a content, in any order of its parts."""
+    code = 0
+    for k in parts:
+        code += 1 << (_SLOT * (k - 1))
+    return code
+
+
+def _content_parts(code: int) -> tuple[int, ...]:
+    """The content, sorted decreasingly, that :func:`_content_code` coded."""
+    parts = []
+    k = 1
+    while code:
+        parts.extend((k,) * (code & _SLOT_MASK))
+        code >>= _SLOT
+        k += 1
+    parts.reverse()
+    return tuple(parts)
+
+
 @cache
-def _peel(shape: tuple[int, ...]) -> dict:
-    """{content sorted decreasingly: sum of signs} over the tilings of `shape`.
+def _peel(shape: tuple[int, ...], cap: int) -> dict:
+    """{content code: sum of signs} over the tilings of `shape` whose hooks
+    all have at most `cap` cells; contents whose signs cancel are left out.
 
     Peels the bottom hook exactly as :func:`_tilings` does, but keeps only
     the census of what is left: the hook of top row t adds its length to
-    every content and flips the sign once per row it climbs.
+    every content and flips the sign once per row it climbs. The hook only
+    grows as t climbs, so the peeling stops at the first one over `cap`.
+    Contents are keyed by :func:`_content_code`; a shape of more cells than
+    a slot can count is refused.
     """
     if not shape:
-        return {(): 1}
+        return {0: 1}
+    if sum(shape) > _SLOT_MASK:
+        raise ValueError(f"the census codes at most {_SLOT_MASK} cells, got {sum(shape)}")
     ell = len(shape)
     out = {}
     length = shape[-1]
     for top in range(ell, 0, -1):
         if top < ell:
             length += shape[top - 1] - shape[top] + 1
+        if length > cap:
+            break
         rest = shape[: top - 1] + tuple(shape[r] - 1 for r in range(top, ell))
         while rest and rest[-1] == 0:
             rest = rest[:-1]
+        step = 1 << (_SLOT * (length - 1))
         flip = (ell - top) % 2
-        for content, sign in _peel(rest).items():
-            key = tuple(sorted(content + (length,), reverse=True))
+        for code, sign in _peel(rest, cap).items():
+            key = code + step
             out[key] = out.get(key, 0) + (-sign if flip else sign)
-    return {content: sign for content, sign in out.items() if sign}
+    return {code: sign for code, sign in out.items() if sign}
 
 
 def signed_content_census(lam) -> MappingProxyType:
@@ -246,11 +281,14 @@ def signed_content_census(lam) -> MappingProxyType:
     grouped by sorted content; types whose signs cancel are left out.
 
     By Egecioglu-Remmel this is the column `lam` of the inverse Kostka
-    matrix. A read-only view of the memoized peeling of the bottom hook
-    (:func:`_peel`), which lists no tilings and builds no tabloid objects;
-    its types are plain part tuples.
+    matrix. Decoded from the memoized peeling of the bottom hook
+    (:func:`_peel` with no hook bound), which lists no tilings and builds no
+    tabloid objects; its types are plain part tuples.
     """
-    return MappingProxyType(_peel(aspartition(lam)))
+    lam = aspartition(lam)
+    return MappingProxyType(
+        {_content_parts(code): sign for code, sign in _peel(lam, lam.n).items()}
+    )
 
 
 def count_srh_tabloids(lam) -> int:

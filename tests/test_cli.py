@@ -265,11 +265,28 @@ def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
     assert not missing.parent.exists()
 
 
+def test_unwritable_output_is_refused_before_the_work(capsys, monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("expanded before checking --output")
+
+    monkeypatch.setattr(chromsym.cli, "expand_schur", refuse)
+    kept = tmp_path / "kept.json"
+    kept.write_text("kept")
+    for target in (tmp_path / "missing" / "x", tmp_path, kept / "x"):
+        code, out, err = run(
+            capsys, "expand", "--multipartite", "3,3", "--output", str(target)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"chromsym: error: cannot write {target}: ")
+        assert len(err.splitlines()) == 1
+    assert kept.read_text() == "kept"
+
+
 def test_oracle_check(capsys):
     code, out, _ = run(capsys, "oracle-check", "--max-n", "4")
     assert code == 0
     lines = out.strip().splitlines()
-    assert len(lines) == 8
+    assert len(lines) == 9
     assert all(line.startswith("ok") for line in lines)
 
 

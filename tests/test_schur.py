@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chromsym import (
     BadShapeError,
@@ -24,6 +24,7 @@ from chromsym import (
     x_in_monomial,
 )
 from chromsym import Graph
+from test_posets import general_graphs
 
 
 def test_coeff_ww_values():
@@ -207,6 +208,18 @@ def test_coeff_report_routes_and_counts():
     assert pos - neg == tab.value
     claw, pc = multipartite((3, 1))
     assert coeff_report(claw, pc, (2, 2)).route == "ww"
+
+
+@settings(max_examples=100, deadline=None)
+@given(general_graphs(max_n=8))
+@example(Graph(0, []))
+@example(Graph(8, []))
+@example(Graph(8, [(u, v) for u in range(8) for v in range(u + 1, 8)]))
+def test_ww_matches_oracle_on_random_graphs(graph):
+    # the empty, edgeless and complete graphs put the census's hook bound at
+    # 0, at n and at 1
+    fresh = Graph(graph.size, graph.edges())
+    assert expand_schur(graph, route="ww") == expand_schur(fresh, route="oracle")
 
 
 @st.composite

@@ -401,3 +401,58 @@ def test_signed_content_census_lists_no_tilings(monkeypatch):
         census = signed_content_census(lam)
         assert census[lam] == 1
         assert sum(census.values()) == (1 if lam == (9,) else 0)
+
+
+def _decoded(shape, cap):
+    peeled = tabloids._peel(shape, cap)
+    return {tabloids._content_parts(code): sign for code, sign in peeled.items()}
+
+
+def test_peel_at_a_hook_bound_is_the_census_restricted():
+    for n in range(11):
+        for lam in partitions_of(n):
+            census = signed_content_census(lam)
+            for cap in range(n + 1):
+                assert _decoded(lam, cap) == {
+                    mu: sign for mu, sign in census.items() if max(mu, default=0) <= cap
+                }, (lam, cap)
+
+
+def test_content_code_round_trip():
+    codes = set()
+    for n in range(13):
+        for mu in partitions_of(n):
+            code = tabloids._content_code(mu)
+            assert tabloids._content_code(reversed(mu)) == code
+            assert tabloids._content_parts(code) == mu
+            codes.add(code)
+    assert len(codes) == sum(1 for n in range(13) for _ in partitions_of(n))
+
+
+def test_peel_refuses_a_shape_a_slot_cannot_count():
+    most = (1 << tabloids._SLOT) - 1
+    assert _decoded((1,) * most, 1) == {(1,) * most: 1}
+    assert _decoded((most,), most) == {(most,): 1}
+    for shape in [(most + 1,), (most, 1)]:
+        with pytest.raises(ValueError):
+            tabloids._peel(shape, 1)
+
+
+def test_ww_census_is_capped_at_the_independence_number(monkeypatch):
+    from chromsym import schur
+
+    caps = []
+    peel = tabloids._peel
+
+    def spy(shape, cap):
+        caps.append(cap)
+        return peel(shape, cap)
+
+    monkeypatch.setattr(schur, "_peel", spy)
+    # i < j iff j - i >= 6: the longest chain, a largest stable set of the
+    # incomparability graph, has two elements
+    poset = Poset(12, [(i, j) for i in range(12) for j in range(i + 6, 12)])
+    graph = incomparability_graph(poset)
+    ww = schur.expand_schur(graph, poset, "ww")
+    assert caps and max(caps) == 2
+    assert ww == schur.expand_schur(graph, poset, "oracle")
