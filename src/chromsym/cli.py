@@ -181,33 +181,26 @@ def _parse_lambda(text: str, flag: str = "--lambda") -> Partition:
         raise UsageError(f"{flag}: {exc}") from exc
 
 
-def _cmd_classify(args) -> int:
+def _verdict(args, check: str | None) -> int:
+    """Print K_lambda's verdict, checked in mode ``check`` (``witness`` or
+    ``full``) unless it is None; exit 1 when a check does not confirm it."""
     lam = _parse_lambda(args.lam)
-    if args.verify == "full":
+    if check == "full":
         _check_size(lam.n, args)
-    try:
-        if args.verify:
-            mode = "witness" if args.verify == "witness" else "full_scan"
-            report = verify_classification(lam, mode)
-        else:
-            report = classify(lam)
-    except ChromsymError as exc:
-        raise UsageError(str(exc)) from exc
+    if check:
+        report = verify_classification(lam, "witness" if check == "witness" else "full_scan")
+    else:
+        report = classify(lam)
     _emit(canonical_json(report.to_json()), args)
-    return 0 if not args.verify or report.verified else 1
+    return 0 if not check or report.verified else 1
+
+
+def _cmd_classify(args) -> int:
+    return _verdict(args, args.verify)
 
 
 def _cmd_verify(args) -> int:
-    lam = _parse_lambda(args.lam)
-    if args.mode == "full":
-        _check_size(lam.n, args)
-    mode = "witness" if args.mode == "witness" else "full_scan"
-    try:
-        report = verify_classification(lam, mode)
-    except ChromsymError as exc:
-        raise UsageError(str(exc)) from exc
-    _emit(canonical_json(report.to_json()), args)
-    return 0 if report.verified else 1
+    return _verdict(args, args.mode)
 
 
 def _cmd_tabloids(args) -> int:

@@ -14,7 +14,7 @@ from math import factorial
 
 from .errors import UnequalWeightError
 from .partitions import Partition, aspartition, partitions_of
-from .posets import Graph, _semi_table
+from .posets import Graph, _count_table
 from .symfunc import SymFunc
 
 
@@ -188,10 +188,11 @@ def x_in_monomial(graph: Graph) -> SymFunc:
     """Chromatic symmetric function in the monomial basis.
 
     The coefficient of m_mu is the semi-ordered stable-partition count of
-    type mu: each stable partition contributes one augmented monomial. The
-    coloring specialization test pins this bridge down.
+    type mu: each stable partition contributes one augmented monomial. These
+    are the entries of the graph's count table. The coloring specialization
+    test pins this bridge down.
     """
-    return SymFunc("monomial", graph.size, _semi_table(graph))
+    return SymFunc("monomial", graph.size, _count_table(graph))
 
 
 def monomial_to_schur(func: SymFunc) -> SymFunc:

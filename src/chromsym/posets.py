@@ -1,11 +1,13 @@
 """Finite posets, incomparability graphs, and stable-partition counting.
 
-Complete multipartite graphs are the incomparability graphs of disjoint
-chain unions, which is also where the fast stable-partition counting path
-lives: a stable set of such a graph is always a subset of a single side, so
-the count table is a product over the sides of each side's set-partition
-types. Any other graph counts every type at once by inclusion-exclusion
-over vertex subsets.
+Each graph keeps one count table: the semi-ordered stable-partition count
+of every type it has, which is the coefficient of m_type in X_G (Stanley
+1995). Complete multipartite graphs are the incomparability graphs of
+disjoint chain unions, which is also where the fast counting path lives: a
+stable set of such a graph is always a subset of a single side, so the
+table is a product over the sides of each side's set-partition types. Any
+other graph counts every type at once by inclusion-exclusion over vertex
+subsets.
 """
 
 from __future__ import annotations
@@ -148,8 +150,9 @@ class Graph:
 
     ``sides`` is set only for graphs built by :func:`multipartite`, recording
     the stable sides; it unlocks the fast counting path. ``_counts`` is the
-    graph's stable-partition count table, keyed by type and filled for every
-    type at the first read: by the product over the sides for multipartite
+    graph's count table, X_G's monomial coefficients: the semi-ordered
+    stable-partition count of every type the graph has, zeros left out. The
+    first read fills it: by the product over the sides for multipartite
     graphs, by one inclusion-exclusion sweep for any other graph.
     """
 
@@ -340,34 +343,6 @@ def stable_partition_count_backtracking(graph: Graph, mu) -> int:
     return sum(1 for _ in _partition_blocks(graph, mu))
 
 
-def _split_choices(parts: tuple[int, ...], target: int):
-    """Yield (chosen, remaining) sub-multisets of `parts` with sum(chosen) == target.
-
-    Both come back as weakly decreasing tuples.
-    """
-    values = sorted(set(parts), reverse=True)
-    counts = [parts.count(v) for v in values]
-    take = [0] * len(values)
-
-    def rec(i, t):
-        if i == len(values):
-            if t == 0:
-                chosen = []
-                left = []
-                for v, c, k in zip(values, counts, take):
-                    chosen.extend([v] * k)
-                    left.extend([v] * (c - k))
-                yield tuple(chosen), tuple(left)
-            return
-        v = values[i]
-        for k in range(min(counts[i], t // v), -1, -1):
-            take[i] = k
-            yield from rec(i + 1, t - k * v)
-        take[i] = 0
-
-    yield from rec(0, target)
-
-
 def _block_split_ways(size: int, block_sizes: tuple[int, ...]) -> int:
     """Number of set partitions of a `size`-set into blocks of the given sizes."""
     ways = factorial(size)
@@ -378,12 +353,24 @@ def _block_split_ways(size: int, block_sizes: tuple[int, ...]) -> int:
     return ways
 
 
+def _multiplicity_factorials(mu) -> int:
+    """The product of m! over the multiplicities m of the parts of `mu`:
+    the orderings of same-size blocks that a semi-ordered count tells apart."""
+    out = 1
+    for m in Counter(mu).values():
+        out *= factorial(m)
+    return out
+
+
 def _side_product_counts(sides: tuple[int, ...]) -> dict:
-    """{type tuple: stable partitions of K_sides of that type}, zeros left out.
+    """{type: semi-ordered stable partitions of K_sides of that type}, zeros
+    left out.
 
     Every stable set lives inside one side, so a stable partition is one set
-    partition per side: the table is the product over the sides of each
-    side's set-partition types, weighted by :func:`_block_split_ways`.
+    partition per side: the unordered counts are the product over the sides
+    of each side's set-partition types, weighted by
+    :func:`_block_split_ways`, and each is then multiplied by its type's
+    multiplicity factorials.
     """
     table = {(): 1}
     for size in sides:
@@ -394,28 +381,41 @@ def _side_product_counts(sides: tuple[int, ...]) -> dict:
                 key = tuple(sorted(left + right, reverse=True))
                 grown[key] = grown.get(key, 0) + count * ways
         table = grown
-    return table
+    return {Partition(mu): count * _multiplicity_factorials(mu) for mu, count in table.items()}
 
 
 def multipartite_stable_partition_count(sides: tuple[int, ...], mu: tuple[int, ...]) -> int:
     """Stable partitions of K_sides of type mu, read from the side product
     of :func:`_side_product_counts`; 0 when the weights disagree."""
-    return _side_product_counts(tuple(sides)).get(tuple(mu), 0)
+    count = _side_product_counts(tuple(sides)).get(tuple(mu), 0)
+    return count // _multiplicity_factorials(mu)
 
 
 @cache
 def multipartite_has_stable_partition(sides: tuple[int, ...], mu: tuple[int, ...]) -> bool:
-    """Whether K_sides has a stable partition of type mu: distributes the
-    parts of mu over the sides, one side at a time, with early exit."""
+    """Whether K_sides has a stable partition of type mu.
+
+    Every block lies inside one side, so this places the parts of mu, largest
+    first when mu is a partition, into the room each side has left, trying
+    each distinct room once, the smallest that fits first. The recursion is
+    memoized on the remaining room, sorted decreasingly, and the remaining
+    parts.
+    """
     if sum(mu) != sum(sides):
         return False
-    if not sides:
+    if not mu:
         return True
-    first, rest = sides[0], sides[1:]
-    return any(
-        multipartite_has_stable_partition(rest, remaining)
-        for _, remaining in _split_choices(mu, first)
-    )
+    part, rest = mu[0], mu[1:]
+    for room in sorted(set(sides)):
+        if room >= part:
+            left = list(sides)
+            left.remove(room)
+            if room > part:
+                left.append(room - part)
+            left.sort(reverse=True)
+            if multipartite_has_stable_partition(tuple(left), rest):
+                return True
+    return False
 
 
 def _sweep_counts(graph: Graph) -> dict:
@@ -427,9 +427,10 @@ def _sweep_counts(graph: Graph) -> dict:
     list indexed by mask, grown one vertex v at a time through
     s_j(X + v) = s_j(X) + s_(j-1)(X minus N(v)); the lists stop at the
     independence number. Masks sharing a profile (s_1(X), s_2(X), ...) share
-    every product, so the sum runs over profiles. Dividing the ordered count
-    by the multiplicity factorials unorders the same-size blocks. Returns a
-    {type: count} dict over every partition of n, zeros included.
+    every product, so the sum runs over profiles. Blocks of different sizes
+    sit in the order of their sizes, so the ordered count is the
+    semi-ordered one. Returns a {type: semi-ordered count} dict over the
+    types with parts up to the independence number, zeros left out.
     """
     n = graph.size
     if n == 0:
@@ -453,78 +454,61 @@ def _sweep_counts(graph: Graph) -> dict:
         for profile, mult in Counter(zip(*rows)).items()
     ]
     table = {}
-    for mu in partitions_of(n):
+    for mu in partitions_of(n, max_part=len(rows)):
+        picks = [part - 1 for part in mu]
         total = 0
-        if mu[0] <= len(rows):
-            picks = [part - 1 for part in mu]
-            for profile, term in terms:
-                for i in picks:
-                    term *= profile[i]
-                total += term
-            for m in mu.multiplicities().values():
-                total //= factorial(m)
-        table[mu] = total
+        for profile, term in terms:
+            for i in picks:
+                term *= profile[i]
+            total += term
+        if total:
+            table[mu] = total
     return table
 
 
 def _count_table(graph: Graph) -> dict:
-    """The graph's whole {type: count} table, filled at the first read.
+    """The graph's whole count table, filled at the first read.
 
-    A multipartite graph fills it by :func:`_side_product_counts`, any other
-    graph by one :func:`_sweep_counts`; either way every partition of n is a
-    key, zeros included.
+    It maps each type the graph has to its semi-ordered stable-partition
+    count, which is the coefficient of m_type in X_G; types with no stable
+    partition are left out. A multipartite graph fills it by
+    :func:`_side_product_counts`, any other graph by one
+    :func:`_sweep_counts`.
     """
     table = graph._counts
     if not table:
         sizes = graph.side_sizes()
-        if sizes is not None:
-            counts = _side_product_counts(sizes)
-            table = {mu: counts.get(mu, 0) for mu in partitions_of(graph.size)}
-        else:
-            table = _sweep_counts(graph)
+        table = _side_product_counts(sizes) if sizes is not None else _sweep_counts(graph)
         # another thread may fill too; both publish the same whole table
         graph._counts.update(table)
     return table
 
 
-def stable_partition_count(graph: Graph, mu) -> int:
-    """Number of unordered stable partitions of type `mu`.
-
-    Reads the graph's count table, which the first read fills for every
-    type (see :func:`_count_table`). Returns 0 when the weights disagree.
-    """
+def semi_ordered_count(graph: Graph, mu) -> int:
+    """Stable partitions of type `mu` with same-size blocks additionally
+    ordered, read from the graph's count table, which the first read fills
+    for every type (see :func:`_count_table`). Returns 0 when the weights
+    disagree."""
     mu = aspartition(mu)
     if mu.n != graph.size:
         return 0
-    return _count_table(graph)[mu]
+    return _count_table(graph).get(mu, 0)
 
 
-def semi_ordered_count(graph: Graph, mu) -> int:
-    """Stable partitions of type `mu` with same-size blocks additionally ordered."""
+def stable_partition_count(graph: Graph, mu) -> int:
+    """Number of unordered stable partitions of type `mu`: the semi-ordered
+    count divided by the multiplicity factorials."""
     mu = aspartition(mu)
-    count = stable_partition_count(graph, mu)
-    for m in mu.multiplicities().values():
-        count *= factorial(m)
-    return count
-
-
-def _semi_table(graph: Graph) -> dict:
-    """{type: semi-ordered count} over the types the graph has, read from
-    its count table in one pass."""
-    out = {}
-    for mu, count in _count_table(graph).items():
-        if count:
-            for m in mu.multiplicities().values():
-                count *= factorial(m)
-            out[mu] = count
-    return out
+    if mu.n != graph.size:
+        return 0
+    return _count_table(graph).get(mu, 0) // _multiplicity_factorials(mu)
 
 
 def has_stable_partition(graph: Graph, mu) -> bool:
     """True iff the graph has at least one stable partition of type `mu`.
 
-    Multipartite graphs answer by side distribution with early exit; any
-    other graph reads ``count > 0`` from its count table.
+    Multipartite graphs answer by placing parts with early exit; any other
+    graph looks the type up in its count table.
     """
     mu = aspartition(mu)
     if mu.n != graph.size:
@@ -532,7 +516,7 @@ def has_stable_partition(graph: Graph, mu) -> bool:
     sizes = graph.side_sizes()
     if sizes is not None:
         return multipartite_has_stable_partition(sizes, mu)
-    return stable_partition_count(graph, mu) > 0
+    return mu in _count_table(graph)
 
 
 def niceness_violation(graph: Graph, lam_present, max_length=None) -> Partition | None:

@@ -4,21 +4,28 @@ Four routes compute the same numbers and check each other:
 
 * ``ww``      - signed content census of the shape's special rim hook
                 tabloids with hooks of at most the independence number,
-                weighted by semi-ordered stable partition counts from the
-                graph's count table;
+                weighted by the graph's count table, X_G's monomial
+                coefficients (semi-ordered stable partition counts);
 * ``tabloid`` - signed count of vertex-filled tabloids under a compatible
                 vertex order;
 * ``tail``    - the tabloid route restricted to tabloids whose tail sequence
                 is non-increasing (valid for incomparability graphs);
-* ``oracle``  - monomial expansion from stable-partition counts followed by
-                a Kostka solve.
+* ``oracle``  - the same monomial coefficients followed by a Kostka solve.
 
 Closed forms cover the two multipartite families whose sides are all of size
 2, or one side of size 3 and the rest of size 2.
 
 The ``auto`` route picks ``closed`` for those two families and ``ww`` for
 every other graph; ``tabloid`` and ``tail`` enumerate filled tabloids and
-stay as explicit cross-check routes.
+stay as explicit cross-check routes. They never read the count table, so
+their agreement with ``ww`` and ``oracle`` checks it.
+
+Every entry point sets a route up once per graph (:func:`_setup_route`) and
+then asks it for one shape at a time. ``ww`` walks only the shapes whose
+first part is at most the independence number alpha: the last cell of a
+shape's first row lies in a special rim hook that starts in column 1, so a
+shape with a first row longer than alpha has no tiling whose hooks all fit
+in a stable set, and its coefficient is 0.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from math import perm
 from .errors import BadShapeError, OrderIncompatibleError
 from .oracle import monomial_to_schur, x_in_monomial
 from .partitions import Partition, aspartition, partitions_of
-from .posets import Graph, Poset, _count_table, _semi_table, incomparability_graph
+from .posets import Graph, Poset, _count_table, incomparability_graph
 from .sequences import nsp_chain_union
 from .symfunc import SymFunc
 from .tabloids import _content_code, _peel, signed_g_tabloid_counts
@@ -75,29 +82,9 @@ class ScanResult:
         return data
 
 
-def _ww_weights(graph: Graph) -> tuple[dict, int]:
-    """The graph's semi-ordered table keyed by content code, and the largest
-    part of a type it has: the independence number, 0 for the empty graph.
-
-    A tiling with a hook longer than that has a content whose count is 0,
-    so the census of hooks up to that bound gives the same sum.
-    """
-    semi = _semi_table(graph)
-    cap = max((mu[0] for mu in semi if mu), default=0)
-    return {_content_code(mu): count for mu, count in semi.items()}, cap
-
-
-def _ww_sum(weights: dict, cap: int, lam: tuple[int, ...]) -> int:
-    # weights and cap come from _ww_weights of a graph of the shape's weight
-    return sum(sign * weights.get(code, 0) for code, sign in _peel(lam, cap).items())
-
-
 def coeff_ww(graph: Graph, lam) -> int:
     """Signed tabloid sum weighted by semi-ordered stable partition counts."""
-    lam = aspartition(lam)
-    if lam.n != graph.size:
-        return 0
-    return _ww_sum(*_ww_weights(graph), lam)
+    return coeff_report(graph, None, lam, "ww").value
 
 
 def coeff_tabloids(graph: Graph, order, lam) -> int:
@@ -156,7 +143,7 @@ def coeff_closed_32beta(beta: int, lam) -> int:
         return 0
     threes, c, d = rows
     if threes == 1:
-        return perm(beta, c) * nsp_chain_union((2,) * (beta - c))
+        return coeff_closed_2beta(beta, c, d)
     if c == 0:
         return nsp_chain_union((3,) + (2,) * beta)
     head = (
@@ -191,82 +178,96 @@ def _closed_coeff(family: tuple[str, int], lam: Partition) -> int:
     return coeff_closed_2beta(beta, c, d)
 
 
-def _poset_for_sides(graph: Graph) -> Poset:
-    # sides hold consecutively numbered vertices, rank 0 the chain minimum
-    return Poset.chain_union([len(s) for s in graph.sides])
+def _needs_poset(lam):
+    raise OrderIncompatibleError(
+        "the tail route needs the graph presented as inc(P) with its poset"
+    )
 
 
-def _pick_route(graph: Graph, route: str) -> str:
-    """Resolve ``auto``: closed forms where they apply, ``ww`` otherwise."""
+def _setup_route(graph: Graph, order, route: str):
+    """Resolve ``auto`` and do the route's once-per-graph work.
+
+    ``auto`` takes the closed forms where they apply and ``ww`` otherwise.
+    Returns the route; the largest first part a shape with a nonzero
+    coefficient can have (the independence number for ``ww``, n otherwise);
+    and a function from a shape of the graph's weight to its coefficient and,
+    for the enumerating routes, its (positive, negative) tabloid counts, else
+    None. ``closed`` refuses a graph outside its families here, whatever the
+    shape; ``tail`` on a graph given without its poset refuses each shape
+    it is asked for, so that a shape of the wrong weight still answers 0.
+    """
     if route not in ROUTES:
         raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
-    if route != "auto":
-        return route
-    return "closed" if _closed_family(graph) else "ww"
+    family = _closed_family(graph)
+    if route == "auto":
+        route = "closed" if family else "ww"
+    n = graph.size
+    if route == "ww":
+        table = _count_table(graph)
+        # hooks longer than the independence number give contents the table lacks
+        cap = max((mu[0] for mu in table if mu), default=0)
+        weights = {_content_code(mu): count for mu, count in table.items()}
+
+        def ww(lam):
+            census = _peel(lam, cap)
+            return sum(sign * weights.get(code, 0) for code, sign in census.items()), None
+
+        return route, cap, ww
+    if route == "oracle":
+        expansion = monomial_to_schur(x_in_monomial(graph))
+        return route, n, lambda lam: (expansion[lam], None)
+    if route == "closed":
+        if family is None:
+            raise BadShapeError("closed forms only apply to sides (2^b) or (3, 2^b)")
+        return route, n, lambda lam: (_closed_coeff(family, lam), None)
+    tail = route == "tail"
+    if tail and not isinstance(order, Poset):
+        if graph.sides is None:
+            return route, n, _needs_poset
+        # sides hold consecutively numbered vertices, rank 0 the chain minimum
+        order = Poset.chain_union(graph.side_sizes())
+
+    def tabloids(lam):
+        pos, neg = signed_g_tabloid_counts(graph, order, lam, tail_filter=tail)
+        return pos - neg, (pos, neg)
+
+    return route, n, tabloids
 
 
 def coeff_report(graph: Graph, order, lam, route: str = "auto") -> CoeffReport:
     """Compute one coefficient, recording the route and, where the route
-    enumerates tabloids, the positive and negative counts."""
-    route = _pick_route(graph, route)
+    enumerates tabloids, the positive and negative counts. A shape of the
+    wrong weight has coefficient 0."""
+    route, _, coeff = _setup_route(graph, order, route)
     lam = aspartition(lam)
-    if route == "ww":
-        return CoeffReport(lam, coeff_ww(graph, lam), "ww")
-    if route == "oracle":
-        value = monomial_to_schur(x_in_monomial(graph))[lam]
-        return CoeffReport(lam, value, "oracle")
-    if route == "closed":
-        family = _closed_family(graph)
-        if family is None:
-            raise BadShapeError("closed forms only apply to sides (2^b) or (3, 2^b)")
-        value = _closed_coeff(family, lam) if lam.n == graph.size else 0
-        return CoeffReport(lam, value, "closed")
     if lam.n != graph.size:
         return CoeffReport(lam, 0, route)
-    if route == "tail":
-        if isinstance(order, Poset):
-            poset = order
-        elif graph.sides is not None:
-            poset = _poset_for_sides(graph)
-        else:
-            raise OrderIncompatibleError(
-                "the tail route needs the graph presented as inc(P) with its poset"
-            )
-        pos, neg = signed_g_tabloid_counts(graph, poset, lam, tail_filter=True)
-        return CoeffReport(lam, pos - neg, "tail", (pos, neg))
-    pos, neg = signed_g_tabloid_counts(graph, order, lam)
-    return CoeffReport(lam, pos - neg, "tabloid", (pos, neg))
+    value, counts = coeff(lam)
+    return CoeffReport(lam, value, route, counts)
 
 
 def _coefficients(graph: Graph, order, route: str):
-    """Yield (shape, coefficient) over every shape in reverse-lexicographic
-    order; ``ww`` reads one semi-ordered table for the whole pass and walks
-    the shapes that key the graph's count table."""
-    if route == "ww":
-        weights, cap = _ww_weights(graph)
-        for lam in _count_table(graph):
-            yield lam, _ww_sum(weights, cap, lam)
-        return
-    for lam in partitions_of(graph.size):
-        yield lam, coeff_report(graph, order, lam, route).value
+    """Yield (shape, coefficient) in reverse-lexicographic order over the
+    shapes whose first part is within the route's bound; every other shape
+    has coefficient 0."""
+    _, bound, coeff = _setup_route(graph, order, route)
+    for lam in partitions_of(graph.size, max_part=bound):
+        yield lam, coeff(lam)[0]
 
 
 def expand_schur(graph: Graph, order=None, route: str = "auto") -> SymFunc:
     """Full Schur expansion of the chromatic symmetric function of `graph`.
 
-    Zero coefficients are omitted. The oracle route converts the whole
-    monomial expansion in one Kostka solve.
+    Zero coefficients are omitted.
     """
-    route = _pick_route(graph, route)
-    if route == "oracle":
-        return monomial_to_schur(x_in_monomial(graph))
     coeffs = {lam: value for lam, value in _coefficients(graph, order, route) if value}
     return SymFunc("schur", graph.size, coeffs)
 
 
 def positivity_scan(graph: Graph, order=None) -> ScanResult:
-    """Scan all shapes in reverse-lexicographic order for a negative coefficient."""
-    for lam, value in _coefficients(graph, order, _pick_route(graph, "auto")):
+    """Scan the shapes in reverse-lexicographic order for the first negative
+    coefficient."""
+    for lam, value in _coefficients(graph, order, "auto"):
         if value < 0:
             return ScanResult(False, (lam, value))
     return ScanResult(True, None)

@@ -194,6 +194,19 @@ def test_verify_exit_codes(capsys):
     assert code == 0 and json.loads(out)["verified"] is True
 
 
+@pytest.mark.parametrize("mode", ["witness", "full"])
+@pytest.mark.parametrize("lam", ["3,2,2", "3,3", "4,3", "15,14"])
+def test_classify_verify_matches_verify(capsys, lam, mode):
+    checked = run(capsys, "classify", "--lambda", lam, "--verify", mode)
+    assert checked == run(capsys, "verify", "--lambda", lam, "--mode", mode)
+    code, out, _ = checked
+    if (lam, mode) == ("4,3", "witness"):
+        # no witness is known for (4, 3): the verdict stands unconfirmed
+        assert code == 1 and json.loads(out)["witness"] is None
+    if (lam, mode) == ("15,14", "full"):
+        assert code == 2 and out == ""
+
+
 def test_tabloids_ascii(capsys):
     code, out, _ = run(capsys, "tabloids", "--shape", "4,2,2", "--format", "ascii")
     assert code == 0

@@ -23,7 +23,9 @@ from chromsym import (
     stable_partition_count_backtracking,
     x_in_monomial,
 )
-from chromsym import Graph
+from chromsym import Graph, stable_sets
+import chromsym.schur as schur
+from chromsym.schur import ROUTES, CoeffReport
 from test_posets import general_graphs
 
 
@@ -175,6 +177,75 @@ def test_tail_route_needs_a_poset():
         coeff_report(c5, None, (2, 2, 1), "tail")
     # auto mode needs no order: it answers such graphs by ww
     assert coeff_report(c5, None, (2, 2, 1)).route == "ww"
+
+
+WEIGHT_CASES = [
+    ("K_(2,2)", *multipartite((2, 2))),
+    ("claw", *multipartite((3, 1))),
+    ("C5", Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]), None),
+    ("n=0", Graph(0, []), None),
+]
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("name, graph, order", WEIGHT_CASES, ids=[c[0] for c in WEIGHT_CASES])
+def test_coeff_report_wrong_weight_is_zero(name, graph, order, route):
+    # the route is resolved and checked against the graph before the weight:
+    # closed refuses a graph outside its two families whatever the shape,
+    # while tail answers a shape of the wrong weight without asking for a poset
+    wrong = [(graph.size + 1,), (1,) * (graph.size + 2)]
+    if route == "closed" and name != "K_(2,2)":
+        for lam in wrong + [(1,) * graph.size]:
+            with pytest.raises(BadShapeError):
+                coeff_report(graph, order, lam, route)
+        return
+    resolved = {"auto": "closed" if name == "K_(2,2)" else "ww"}.get(route, route)
+    for lam in wrong:
+        assert coeff_report(graph, order, lam, route) == CoeffReport(Partition(lam), 0, resolved)
+
+
+def independence_number(graph):
+    return max(k for k in range(graph.size + 1) if next(stable_sets(graph, k), None) is not None)
+
+
+def test_ww_census_skips_shapes_wider_than_alpha(monkeypatch):
+    # a shape whose first row is longer than alpha has no tiling with every
+    # hook inside a stable set, so ww never asks the census for it
+    asked = []
+    peel = schur._peel
+
+    def spy(lam, cap):
+        asked.append(tuple(lam))
+        return peel(lam, cap)
+
+    monkeypatch.setattr(schur, "_peel", spy)
+    sparse = Poset(10, [(i, j) for i in range(10) for j in range(i + 4, 10)])
+    graphs = [
+        multipartite((4, 4, 2))[0],
+        incomparability_graph(sparse),
+        Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
+    ]
+    for graph in graphs:
+        asked.clear()
+        alpha = independence_number(graph)
+        fresh = Graph(graph.size, graph.edges())
+        assert expand_schur(graph, route="ww") == expand_schur(fresh, route="oracle")
+        assert asked == list(partitions_of(graph.size, max_part=alpha)), alpha
+
+
+def test_tail_expansion_builds_the_chain_union_once(monkeypatch):
+    graph, _ = multipartite((3, 2, 2))
+    expected = expand_schur(graph, None, "oracle")
+    built = []
+    chain_union = Poset.chain_union
+
+    def spy(cls, lengths):
+        built.append(tuple(lengths))
+        return chain_union(lengths)
+
+    monkeypatch.setattr(Poset, "chain_union", classmethod(spy))
+    assert expand_schur(graph, None, "tail") == expected
+    assert built == [(3, 2, 2)]
 
 
 def test_specialization_referee_on_engine_output():
