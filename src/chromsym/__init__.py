@@ -67,9 +67,6 @@ from .schur import (
     ScanResult,
     coeff_closed_2beta,
     coeff_closed_32beta,
-    coeff_tabloids,
-    coeff_tail,
-    coeff_ww,
     coeff_report,
     expand_schur,
     positivity_scan,
@@ -80,7 +77,6 @@ from .tabloids import (
     RimHook,
     SRHGTabloid,
     SRHTabloid,
-    TailSequence,
     check_srh_g_tabloid,
     count_srh_tabloids,
     enumerate_srh_g_tabloids,

@@ -20,7 +20,6 @@ from .posets import (
 )
 from .schur import (
     _closed_family,
-    _shape_rows,
     coeff_closed_32beta,
     expand_schur,
     positivity_scan,
@@ -62,8 +61,7 @@ class ClassificationReport:
 def _positive_reason(lam: Partition) -> str | None:
     if lam[0] <= 2:
         return REASON_ALL_PARTS_LE2
-    rows = _shape_rows(lam)
-    if rows and rows[0] == 1 and rows[2] == 0 and rows[1] >= 1:
+    if lam[0] == 3 and set(lam[1:]) == {2}:
         return REASON_THREE_TWO_POWER
     return None
 

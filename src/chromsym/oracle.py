@@ -41,17 +41,6 @@ class SSYT:
     def shape(self) -> Partition:
         return Partition(len(row) for row in self.rows)
 
-    def weight(self) -> Partition:
-        """Content as a partition when the multiplicities happen to decrease."""
-        counts = {}
-        for row in self.rows:
-            for x in row:
-                counts[x] = counts.get(x, 0) + 1
-        return Partition(sorted(counts.values(), reverse=True))
-
-    def entry(self, r: int, c: int) -> int:
-        return self.rows[r - 1][c - 1]
-
     def __eq__(self, other):
         if isinstance(other, SSYT):
             return self.rows == other.rows
@@ -163,9 +152,6 @@ class KostkaMatrix:
             (lam, mu): kostka(lam, mu) for lam in self.index for mu in self.index
         }
 
-    def entry(self, lam, mu) -> int:
-        return self.entries[(aspartition(lam), aspartition(mu))]
-
     def inverse(self) -> dict:
         """Exact inverse as a dict keyed (mu, lam); unitriangular solve."""
         order = self.index  # reverse-lexicographic, refines dominance
@@ -258,22 +244,21 @@ def coloring_count(graph: Graph, q: int) -> int:
     return rec(0)
 
 
-@cache
 def _ssyt_count_bounded(shape: tuple[int, ...], q: int) -> int:
     """Number of SSYT of `shape` with entries at most q.
 
-    The cells holding the largest entry form a horizontal strip, so strip
-    every possible one (including the empty strip) and recurse on q - 1.
+    By the hook-content formula this is the product of q + c(u) over the
+    cells u, c(u) being column minus row, divided by the product of their
+    hook lengths. A shape with more than q rows has a cell of content -q, so
+    it counts 0.
     """
-    if not shape:
-        return 1
-    if q == 0:
-        return 0
-    total = 0
-    for size in range(sum(shape) + 1):
-        for nu in _horizontal_strips(shape, size):
-            total += _ssyt_count_bounded(nu, q - 1)
-    return total
+    heights = [sum(row > j for row in shape) for j in range(max(shape, default=0))]
+    top = bottom = 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            top *= q + j - i
+            bottom *= row - j + heights[j] - i - 1
+    return top // bottom
 
 
 def specialize_ones(func: SymFunc, q: int) -> int:

@@ -177,9 +177,6 @@ class Graph:
     def adjacent(self, u: int, v: int) -> bool:
         return bool((self._adj[u] >> v) & 1)
 
-    def adj_mask(self, u: int) -> int:
-        return self._adj[u]
-
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for u in range(self.size):

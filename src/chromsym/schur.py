@@ -36,7 +36,7 @@ from math import perm
 from .errors import BadShapeError, OrderIncompatibleError
 from .oracle import monomial_to_schur, x_in_monomial
 from .partitions import Partition, aspartition, partitions_of
-from .posets import Graph, Poset, _count_table, incomparability_graph
+from .posets import Graph, Poset, _count_table
 from .sequences import nsp_chain_union
 from .symfunc import SymFunc
 from .tabloids import _content_code, _peel, signed_g_tabloid_counts
@@ -71,33 +71,6 @@ class ScanResult:
 
     all_nonnegative: bool
     first_negative: tuple[Partition, int] | None = None
-
-    def to_json(self) -> dict:
-        data = {"all_nonnegative": self.all_nonnegative}
-        if self.first_negative:
-            lam, value = self.first_negative
-            data["first_negative"] = {"lambda": lam.to_json(), "value": str(value)}
-        else:
-            data["first_negative"] = None
-        return data
-
-
-def coeff_ww(graph: Graph, lam) -> int:
-    """Signed tabloid sum weighted by semi-ordered stable partition counts."""
-    return coeff_report(graph, None, lam, "ww").value
-
-
-def coeff_tabloids(graph: Graph, order, lam) -> int:
-    """Signed count of vertex-filled tabloids of shape `lam`."""
-    return coeff_report(graph, order, lam, "tabloid").value
-
-
-def coeff_tail(poset: Poset, lam) -> int:
-    """Signed count over tabloids with non-increasing tail sequence.
-
-    The graph is the incomparability graph of `poset`, ordered by the poset.
-    """
-    return coeff_report(incomparability_graph(poset), poset, lam, "tail").value
 
 
 def coeff_closed_2beta(beta: int, c: int, d: int) -> int:

@@ -49,9 +49,6 @@ class SymFunc:
         """(partition, coefficient) pairs in reverse-lexicographic order."""
         return sorted(self.coeffs.items(), reverse=True)
 
-    def is_nonnegative(self) -> bool:
-        return all(v >= 0 for v in self.coeffs.values())
-
     def to_json(self) -> dict:
         return {
             "basis": self.basis,

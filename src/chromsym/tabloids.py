@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from functools import cache
 from types import MappingProxyType
-from typing import NamedTuple
 
 from ._util import iter_bits
 from .errors import NoAscentError, OrderIncompatibleError, SizeMismatchError
@@ -131,12 +130,6 @@ class SRHTabloid:
         return f"SRHTabloid(shape={self.shape!r}, content={list(self.content)})"
 
 
-class TailSequence(NamedTuple):
-    """Vertices of the length-1 rows, read from the bottom row up."""
-
-    vertices: tuple
-
-
 class SRHGTabloid:
     """A special rim hook tabloid filled bijectively with graph vertices."""
 
@@ -154,21 +147,11 @@ class SRHGTabloid:
     def sign(self) -> int:
         return self.tabloid.sign
 
-    def vertex_at(self, cell):
-        return self.filling[cell]
-
-    def tail_sequence(self) -> TailSequence:
+    def tail_sequence(self) -> tuple:
+        """Vertices of the length-1 rows, read from the bottom row up."""
         shape = self.tabloid.shape
         rows = [r for r in range(len(shape), 0, -1) if shape[r - 1] == 1]
-        return TailSequence(tuple(self.filling[(r, 1)] for r in rows))
-
-    def to_json(self, labels=None) -> dict:
-        data = self.tabloid.to_json()
-        name = (lambda v: labels[v]) if labels else str
-        data["filling"] = [
-            [r, c, name(v)] for (r, c), v in sorted(self.filling.items())
-        ]
-        return data
+        return tuple(self.filling[(r, 1)] for r in rows)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, SRHGTabloid):
@@ -368,6 +351,19 @@ def _fillings(graph: Graph, order: Poset, shape: tuple[int, ...], tiling, tail_f
     yield from rec(0, 0, 0, -1, -1)
 
 
+def _shape_and_order(graph: Graph, order, lam) -> tuple[Partition, Poset]:
+    """The shape, which must have one cell per vertex, and the resolved
+    vertex order, which must be compatible with the graph."""
+    lam = aspartition(lam)
+    if lam.n != graph.size:
+        raise SizeMismatchError(
+            f"shape has {lam.n} cells but the graph has {graph.size} vertices"
+        )
+    order = _resolve_order(order, graph.size)
+    check_order_compatible(graph, order)
+    return lam, order
+
+
 def enumerate_srh_g_tabloids(
     graph: Graph, order, lam, tail_filter: bool = False
 ) -> list[SRHGTabloid]:
@@ -377,13 +373,7 @@ def enumerate_srh_g_tabloids(
     With tail_filter=True only tabloids whose tail sequence is non-increasing
     are produced.
     """
-    lam = aspartition(lam)
-    if lam.n != graph.size:
-        raise SizeMismatchError(
-            f"shape has {lam.n} cells but the graph has {graph.size} vertices"
-        )
-    order = _resolve_order(order, graph.size)
-    check_order_compatible(graph, order)
+    lam, order = _shape_and_order(graph, order, lam)
     out = []
     for tiling in _tilings(lam):
         flat = [cell for cells in tiling for cell in cells]
@@ -397,13 +387,7 @@ def signed_g_tabloid_counts(
     graph: Graph, order, lam, tail_filter: bool = False
 ) -> tuple[int, int]:
     """(positive, negative) tabloid counts without materializing fillings."""
-    lam = aspartition(lam)
-    if lam.n != graph.size:
-        raise SizeMismatchError(
-            f"shape has {lam.n} cells but the graph has {graph.size} vertices"
-        )
-    order = _resolve_order(order, graph.size)
-    check_order_compatible(graph, order)
+    lam, order = _shape_and_order(graph, order, lam)
     pos = neg = 0
     for tiling in _tilings(lam):
         n_steps = sum(
@@ -439,7 +423,7 @@ def check_srh_g_tabloid(tabloid: SRHGTabloid, graph: Graph, order) -> None:
                 raise ValueError(f"hook vertices {u}, {v} do not increase in the order")
 
 
-def tail_head_split(tabloid: SRHGTabloid) -> tuple[dict, TailSequence]:
+def tail_head_split(tabloid: SRHGTabloid) -> tuple[dict, tuple]:
     """Split a filled tabloid into its head cells and its tail sequence.
 
     The tail collects the length-1 rows bottom to top; the head is the
@@ -468,7 +452,7 @@ def psi_involution(tabloid: SRHGTabloid, poset: Poset) -> SRHGTabloid:
     sign; applying the map twice returns the input. Undefined (NoAscentError)
     when the tail sequence is non-increasing.
     """
-    ts = tabloid.tail_sequence().vertices
+    ts = tabloid.tail_sequence()
     j = next(
         (i for i, (u, v) in enumerate(zip(ts, ts[1:])) if poset.leq(u, v)), None
     )

@@ -7,8 +7,6 @@ from chromsym import (
     PositiveFamilyError,
     classify,
     dominates,
-    expand_schur,
-    multipartite,
     multipartite_has_stable_partition,
     partitions_of,
     verify_classification,
@@ -171,19 +169,8 @@ def multipartite_types(max_n, min_n=2):
 
 
 def theorem_mismatches(types):
-    """Types whose verdict disagrees with the sign of a full ``ww`` scan, or,
-    in the two closed families, whose ``ww`` expansion differs from the
-    closed forms."""
-    bad = []
-    for lam in types:
-        graph, poset = multipartite(lam)
-        ww = expand_schur(graph, poset, "ww")
-        positive = all(c >= 0 for c in ww.coeffs.values())
-        if positive != (classify(lam).verdict == "SchurPositive"):
-            bad.append(lam)
-        elif schur._closed_family(graph) and ww != expand_schur(graph, poset, "closed"):
-            bad.append(lam)
-    return bad
+    """Types whose verdict the library's full scan does not confirm."""
+    return [lam for lam in types if not verify_classification(lam, "full_scan").verified]
 
 
 def test_theorem_matches_ww_scans_up_to_12_vertices():

@@ -207,6 +207,18 @@ def test_classify_verify_matches_verify(capsys, lam, mode):
         assert code == 2 and out == ""
 
 
+def test_witness_mode_is_not_bound_by_the_bitmask(capsys):
+    # certificates are checked on the sides, so no 64-vertex graph is built
+    code, out, _ = run(capsys, "verify", "--mode", "witness", "--lambda", "40,40")
+    data = json.loads(out)
+    assert code == 0 and data["verified"] is True and data["witness"] == [39, 39, 2]
+    code, out, _ = run(capsys, "classify", "--lambda", "40,39", "--verify", "witness")
+    assert code == 1 and json.loads(out)["witness"] is None
+    lam = ",".join(["3"] + ["2"] * 32)  # 67 vertices
+    code, out, _ = run(capsys, "verify", "--mode", "witness", "--lambda", lam)
+    assert code == 0 and json.loads(out)["verified"] is True
+
+
 def test_tabloids_ascii(capsys):
     code, out, _ = run(capsys, "tabloids", "--shape", "4,2,2", "--format", "ascii")
     assert code == 0

@@ -200,6 +200,17 @@ def test_specialization_matches_colorings_in_schur_basis():
         assert specialize_ones(schur, q) == coloring_count(c5, q)
 
 
+def test_schur_specialization_matches_the_monomial_basis():
+    # the Schur branch uses the hook-content formula, the monomial branch
+    # counts arrangements of each content: no code in common
+    for n in range(8):
+        for lam in partitions_of(n):
+            s_lam = SymFunc("schur", n, {lam: 1})
+            m_lam = schur_to_monomial(s_lam)
+            for q in range(6):
+                assert specialize_ones(s_lam, q) == specialize_ones(m_lam, q), (lam, q)
+
+
 def test_symfunc_json_round_trip():
     f = SymFunc("schur", 4, {(2, 2): 2, (1, 1, 1, 1): 14})
     assert SymFunc.from_json(f.to_json()) == f

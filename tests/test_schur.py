@@ -8,9 +8,6 @@ from chromsym import (
     coeff_closed_2beta,
     coeff_closed_32beta,
     coeff_report,
-    coeff_tabloids,
-    coeff_tail,
-    coeff_ww,
     coloring_count,
     expand_schur,
     incomparability_graph,
@@ -31,26 +28,26 @@ from test_posets import general_graphs
 
 def test_coeff_ww_values():
     c4, _ = multipartite((2, 2))
-    assert coeff_ww(c4, (1, 1, 1, 1)) == 14
+    assert coeff_report(c4, None, (1, 1, 1, 1), "ww").value == 14
     claw, _ = multipartite((3, 1))
-    assert coeff_ww(claw, (2, 2)) == -1
-    assert coeff_ww(c4, (5,)) == 0  # weight mismatch
+    assert coeff_report(claw, None, (2, 2), "ww").value == -1
+    assert coeff_report(c4, None, (5,), "ww").value == 0  # weight mismatch
 
 
 def test_coeff_tabloids_values():
     g32, p32 = multipartite((3, 2))
-    assert coeff_tabloids(g32, p32, (3, 2)) == 1
+    assert coeff_report(g32, p32, (3, 2), "tabloid").value == 1
     c4, p4 = multipartite((2, 2))
-    assert coeff_tabloids(c4, p4, (2, 1, 1)) == 2
-    assert coeff_tabloids(c4, p4, (5,)) == 0
+    assert coeff_report(c4, p4, (2, 1, 1), "tabloid").value == 2
+    assert coeff_report(c4, p4, (5,), "tabloid").value == 0
 
 
 def test_coeff_tail_values():
-    _, p32 = multipartite((3, 2))
-    assert coeff_tail(p32, (1, 1, 1, 1, 1)) == 46
-    _, p4 = multipartite((2, 2))
-    assert coeff_tail(p4, (2, 2)) == 2
-    assert coeff_tail(p4, (2, 2, 1)) == 0
+    g32, p32 = multipartite((3, 2))
+    assert coeff_report(g32, p32, (1, 1, 1, 1, 1), "tail").value == 46
+    c4, p4 = multipartite((2, 2))
+    assert coeff_report(c4, p4, (2, 2), "tail").value == 2
+    assert coeff_report(c4, p4, (2, 2, 1), "tail").value == 0
 
 
 def test_tail_counts_are_all_positive_for_single_column():
@@ -92,9 +89,9 @@ def test_route_equivalence_small():
             oracle = monomial_to_schur(x_in_monomial(graph))
             for mu in partitions_of(n):
                 expected = oracle[mu]
-                assert coeff_ww(graph, mu) == expected, (lam, mu)
-                assert coeff_tabloids(graph, poset, mu) == expected, (lam, mu)
-                assert coeff_tail(poset, mu) == expected, (lam, mu)
+                for order, route in ((None, "ww"), (poset, "tabloid"), (poset, "tail")):
+                    value = coeff_report(graph, order, mu, route).value
+                    assert value == expected, (lam, mu, route)
 
 
 def test_expand_schur_known_expansions():
@@ -165,8 +162,8 @@ def test_tabloid_route_on_non_incomparability_graph():
     c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     oracle = monomial_to_schur(x_in_monomial(c5))
     for mu in partitions_of(5):
-        assert coeff_tabloids(c5, None, mu) == oracle[mu], mu
-        assert coeff_ww(c5, mu) == oracle[mu], mu
+        assert coeff_report(c5, None, mu, "tabloid").value == oracle[mu], mu
+        assert coeff_report(c5, None, mu, "ww").value == oracle[mu], mu
 
 
 def test_tail_route_needs_a_poset():
@@ -262,11 +259,13 @@ def test_single_column_coefficient_counts_sequences():
     for n in range(1, 7):
         for lam in partitions_of(n):
             poset = Poset.chain_union(lam)
-            assert coeff_tail(poset, (1,) * n) == nsp_bruteforce(poset), lam
+            report = coeff_report(incomparability_graph(poset), poset, (1,) * n, "tail")
+            assert report.value == nsp_bruteforce(poset), lam
     example = Poset(
         6, [(0, 1), (1, 5), (0, 2), (2, 4), (3, 2), (1, 4)]
     )
-    assert coeff_tail(example, (1,) * 6) == nsp_bruteforce(example)
+    report = coeff_report(incomparability_graph(example), example, (1,) * 6, "tail")
+    assert report.value == nsp_bruteforce(example)
 
 
 def test_coeff_report_routes_and_counts():
