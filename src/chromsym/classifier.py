@@ -3,9 +3,8 @@
 K_lambda (at least two sides) is Schur-positive exactly when every side has
 size 1 or 2, or the sides are one 3 and at least one 2. Every other type gets
 a machine-checkable certificate: a dominated partition type that admits no
-stable partition, built from one of three explicit constructions, or found by
-search for the two-sided (m, m-1) family, which the constructions do not
-cover.
+stable partition, built from one of four explicit constructions. The one for
+the two-sided family (m, m-1) needs m >= 5, and K_(4,3) has no such type.
 """
 
 from __future__ import annotations
@@ -34,8 +33,6 @@ REASON_UNBALANCED = "Unbalanced"
 REASON_SQUARE_CASE = "SquareCase"
 REASON_TAIL_CASE = "TailCase"
 REASON_BIPARTITE_SMALL = "BipartiteSmall"
-
-WITNESS_SEARCH_CAP = 30
 
 
 @dataclass(frozen=True)
@@ -86,19 +83,13 @@ def _negative_case(lam: Partition) -> tuple[str, Partition | None]:
     if beta >= 2:
         witness = (m,) + (m - 1,) * (beta - 2) + (m - 2,) * 2 + (2,)
         return REASON_TAIL_CASE, Partition(witness)
-    # lam == (m, m-1), m >= 4: no construction; search the dominated types
-    return REASON_BIPARTITE_SMALL, _searched_witness(lam)
-
-
-def _searched_witness(lam: Partition) -> Partition | None:
-    if lam.n > WITNESS_SEARCH_CAP:
-        return None
-    for mu in partitions_of(lam.n):
-        if mu == lam or not dominates(lam, mu):
-            continue
-        if not multipartite_has_stable_partition(lam, mu):
-            return mu
-    return None
+    # lam == (m, m-1), m >= 4. A largest part of m or m - 1 goes into the
+    # side of that size and the rest fills the other side, so the first
+    # dominated type with no stable partition starts with m - 2. The first
+    # such type is (m-2, m-2, 3): the parts m - 2 need both sides once m >= 5,
+    # leaving room 2 and 1 for the 3. For m = 4 it is no partition, and
+    # K_(4,3) has every dominated type.
+    return REASON_BIPARTITE_SMALL, Partition((m - 2, m - 2, 3)) if m >= 5 else None
 
 
 def classify(lam) -> ClassificationReport:
@@ -116,9 +107,8 @@ def classify(lam) -> ClassificationReport:
 def witness_for(lam) -> Partition | None:
     """A dominated type with no stable partition in K_lam.
 
-    Raises PositiveFamilyError on Schur-positive types. None only for the
-    (m, m-1) family when the search finds nothing (some of those graphs
-    admit every dominated type).
+    Raises PositiveFamilyError on Schur-positive types. None only for
+    (4, 3), whose graph admits every dominated type.
     """
     lam = aspartition(lam)
     if len(lam) < 2:
@@ -151,13 +141,14 @@ def _verify_witness(report: ClassificationReport) -> bool:
 
 def _verify_scan(report: ClassificationReport) -> bool:
     graph, poset = multipartite(report.type)
-    scan = positivity_scan(graph, poset)
-    ok = scan.all_nonnegative == (report.verdict == SCHUR_POSITIVE)
-    if ok and _closed_family(graph):
-        # the scan read the closed forms; they must match the count table
-        # weighted by the signed tabloid census, which shares no code with them
-        ok = expand_schur(graph, poset, "ww") == expand_schur(graph, poset, "closed")
-    return ok
+    positive = report.verdict == SCHUR_POSITIVE
+    if not _closed_family(graph):
+        return positivity_scan(graph, poset).all_nonnegative == positive
+    # the closed forms give the sign; they must match the count table
+    # weighted by the signed tabloid census, which shares no code with them
+    closed = expand_schur(graph, poset, "closed")
+    nonnegative = all(value >= 0 for _, value in closed)
+    return nonnegative == positive and closed == expand_schur(graph, poset, "ww")
 
 
 def verify_classification(lam, mode: str = "witness") -> ClassificationReport:

@@ -92,12 +92,25 @@ class Poset:
         Within each chain the lowest-numbered vertex is the minimum.
         """
         lengths = tuple(int(x) for x in lengths)
+        if any(ln < 0 for ln in lengths):
+            raise ValueError("chain lengths must be nonnegative")
+        size = sum(lengths)
+        _check_size(size)
         covers = []
+        above = []
         start = 0
         for ln in lengths:
-            covers.extend((start + i, start + i + 1) for i in range(ln - 1))
-            start += ln
-        return cls(start, covers)
+            end = start + ln
+            covers.extend((x, x + 1) for x in range(start, end - 1))
+            # x lies below every later element of its own chain
+            above.extend((1 << end) - (1 << x) for x in range(start, end))
+            start = end
+        self = cls.__new__(cls)
+        self.size = size
+        self.covers = tuple(covers)
+        self.labels = None
+        self._above = tuple(above)
+        return self
 
     def leq(self, x: int, y: int) -> bool:
         return bool((self._above[x] >> y) & 1)
@@ -148,19 +161,29 @@ class Poset:
 class Graph:
     """A finite simple graph on vertices 0..size-1 with bitmask adjacency.
 
-    ``sides`` is set only for graphs built by :func:`multipartite`, recording
-    the stable sides; it unlocks the fast counting path. ``_counts`` is the
-    graph's count table, X_G's monomial coefficients: the semi-ordered
-    stable-partition count of every type the graph has, zeros left out. The
-    first read fills it: by the product over the sides for multipartite
-    graphs, by one inclusion-exclusion sweep for any other graph.
+    ``sides`` is set only for graphs built by :func:`multipartite`: vertex
+    tuples covering every vertex once, which make the graph complete
+    multipartite with those stable sides, given with no edges. It unlocks
+    the fast counting path. ``_counts`` is the graph's count table, X_G's
+    monomial coefficients: the semi-ordered stable-partition count of every
+    type the graph has, zeros left out. The first read fills it: by the
+    product over the sides for multipartite graphs, by one
+    inclusion-exclusion sweep for any other graph.
     """
 
     __slots__ = ("size", "_adj", "sides", "_counts")
 
-    def __init__(self, size, edges, sides=None):
+    def __init__(self, size, edges=(), sides=None):
         _check_size(size)
         adj = [0] * size
+        if sides is not None:
+            if edges:
+                raise ValueError("a graph given by its sides takes no edges")
+            full = (1 << size) - 1
+            for side in sides:
+                mask = sum(1 << v for v in side)
+                for v in side:
+                    adj[v] = full ^ mask
         for u, v in edges:
             u, v = int(u), int(v)
             if not (0 <= u < size and 0 <= v < size):
@@ -257,9 +280,7 @@ def multipartite(lam) -> tuple[Graph, Poset]:
     for ln in lam:
         sides.append(tuple(range(start, start + ln)))
         start += ln
-    edges = [(u, v) for i, a in enumerate(sides) for b in sides[i + 1 :] for u in a for v in b]
-    graph = Graph(start, edges, sides=tuple(sides))
-    return graph, Poset.chain_union(lam)
+    return Graph(start, sides=tuple(sides)), Poset.chain_union(lam)
 
 
 def _stable_extensions(adj, allowed_mask, base_vertex, size):
@@ -342,20 +363,21 @@ def stable_partition_count_backtracking(graph: Graph, mu) -> int:
 
 def _block_split_ways(size: int, block_sizes: tuple[int, ...]) -> int:
     """Number of set partitions of a `size`-set into blocks of the given sizes."""
-    ways = factorial(size)
+    ways = _multiplicity_factorials(block_sizes)
     for b in block_sizes:
-        ways //= factorial(b)
-    for m in Counter(block_sizes).values():
-        ways //= factorial(m)
-    return ways
+        ways *= factorial(b)
+    return factorial(size) // ways
 
 
 def _multiplicity_factorials(mu) -> int:
-    """The product of m! over the multiplicities m of the parts of `mu`:
-    the orderings of same-size blocks that a semi-ordered count tells apart."""
+    """The product of m! over the multiplicities m of the parts of `mu`, in
+    any order: the orderings of same-size blocks that a semi-ordered count
+    tells apart. The k-th copy of a part multiplies by k."""
     out = 1
-    for m in Counter(mu).values():
-        out *= factorial(m)
+    seen = {}
+    for part in mu:
+        k = seen[part] = seen.get(part, 0) + 1
+        out *= k
     return out
 
 
@@ -378,13 +400,18 @@ def _side_product_counts(sides: tuple[int, ...]) -> dict:
                 key = tuple(sorted(left + right, reverse=True))
                 grown[key] = grown.get(key, 0) + count * ways
         table = grown
-    return {Partition(mu): count * _multiplicity_factorials(mu) for mu, count in table.items()}
+    # the keys are sorted already, so they are wrapped without validation
+    return {
+        tuple.__new__(Partition, mu): count * _multiplicity_factorials(mu)
+        for mu, count in table.items()
+    }
 
 
 def multipartite_stable_partition_count(sides: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    """Stable partitions of K_sides of type mu, read from the side product
-    of :func:`_side_product_counts`; 0 when the weights disagree."""
-    count = _side_product_counts(tuple(sides)).get(tuple(mu), 0)
+    """Stable partitions of K_sides of type mu, its parts in any order, read
+    from the side product of :func:`_side_product_counts`; 0 when the weights
+    disagree."""
+    count = _side_product_counts(tuple(sides)).get(tuple(sorted(mu, reverse=True)), 0)
     return count // _multiplicity_factorials(mu)
 
 

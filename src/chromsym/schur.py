@@ -21,11 +21,15 @@ stay as explicit cross-check routes. They never read the count table, so
 their agreement with ``ww`` and ``oracle`` checks it.
 
 Every entry point sets a route up once per graph (:func:`_setup_route`) and
-then asks it for one shape at a time. ``ww`` walks only the shapes whose
-first part is at most the independence number alpha: the last cell of a
-shape's first row lies in a special rim hook that starts in column 1, so a
-shape with a first row longer than alpha has no tiling whose hooks all fit
-in a stable set, and its coefficient is 0.
+then asks it for one shape at a time. A shape whose first part exceeds the
+independence number alpha has coefficient 0: the last cell of its first row
+lies in a special rim hook that starts in column 1, so no tiling has all its
+hooks inside stable sets (Egecioglu-Remmel), and X_G has no monomial with a
+part over alpha (Stanley). So ``ww`` walks only the shapes with first part
+at most alpha, read from the count table, and every route on a complete
+multipartite graph walks only those within its largest side. The other
+routes on any other graph walk every shape, so that they never read the
+table.
 """
 
 from __future__ import annotations
@@ -162,49 +166,53 @@ def _setup_route(graph: Graph, order, route: str):
 
     ``auto`` takes the closed forms where they apply and ``ww`` otherwise.
     Returns the route; the largest first part a shape with a nonzero
-    coefficient can have (the independence number for ``ww``, n otherwise);
-    and a function from a shape of the graph's weight to its coefficient and,
-    for the enumerating routes, its (positive, negative) tabloid counts, else
-    None. ``closed`` refuses a graph outside its families here, whatever the
-    shape; ``tail`` on a graph given without its poset refuses each shape
-    it is asked for, so that a shape of the wrong weight still answers 0.
+    coefficient can have (the largest side of a multipartite graph, else the
+    independence number for ``ww`` and n for the others); and a function
+    from a shape of the graph's weight to its coefficient and, for the
+    enumerating routes, its (positive, negative) tabloid counts, else None.
+    ``closed`` refuses a graph outside its families here, whatever the
+    shape; ``tail`` on a graph given without its poset refuses each shape it
+    is asked for, so that a shape of the wrong weight still answers 0.
     """
     if route not in ROUTES:
         raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
     family = _closed_family(graph)
     if route == "auto":
         route = "closed" if family else "ww"
-    n = graph.size
+    sizes = graph.side_sizes()
+    # every stable set of a multipartite graph lies inside one side
+    bound = max(sizes) if sizes else graph.size
     if route == "ww":
         table = _count_table(graph)
-        # hooks longer than the independence number give contents the table lacks
-        cap = max((mu[0] for mu in table if mu), default=0)
+        if not sizes:
+            # hooks longer than the independence number give contents the table lacks
+            bound = max((mu[0] for mu in table if mu), default=0)
         weights = {_content_code(mu): count for mu, count in table.items()}
 
         def ww(lam):
-            census = _peel(lam, cap)
+            census = _peel(lam, bound)
             return sum(sign * weights.get(code, 0) for code, sign in census.items()), None
 
-        return route, cap, ww
+        return route, bound, ww
     if route == "oracle":
         expansion = monomial_to_schur(x_in_monomial(graph))
-        return route, n, lambda lam: (expansion[lam], None)
+        return route, bound, lambda lam: (expansion[lam], None)
     if route == "closed":
         if family is None:
             raise BadShapeError("closed forms only apply to sides (2^b) or (3, 2^b)")
-        return route, n, lambda lam: (_closed_coeff(family, lam), None)
+        return route, bound, lambda lam: (_closed_coeff(family, lam), None)
     tail = route == "tail"
     if tail and not isinstance(order, Poset):
         if graph.sides is None:
-            return route, n, _needs_poset
+            return route, bound, _needs_poset
         # sides hold consecutively numbered vertices, rank 0 the chain minimum
-        order = Poset.chain_union(graph.side_sizes())
+        order = Poset.chain_union(sizes)
 
     def tabloids(lam):
         pos, neg = signed_g_tabloid_counts(graph, order, lam, tail_filter=tail)
         return pos - neg, (pos, neg)
 
-    return route, n, tabloids
+    return route, bound, tabloids
 
 
 def coeff_report(graph: Graph, order, lam, route: str = "auto") -> CoeffReport:

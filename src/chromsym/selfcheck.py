@@ -2,6 +2,7 @@
 
 Each check takes the largest n to sweep and returns True when it holds. The
 route and coloring checks run on fixed small graphs and ignore ``max_n``; the
+closed-form check reads it as the number b of sides of size 2, up to 30; the
 count-table check stops at five vertices, where there are already 1,024
 graphs. ``CHECKS`` lists them in the order the command prints them.
 """
@@ -126,6 +127,16 @@ def coloring_specialization(max_n: int) -> bool:
     return True
 
 
+def closed_forms_match_ww(max_n: int) -> bool:
+    # K_(3,2^30) has 63 vertices, the last within the 64-vertex bitmask
+    for beta in range(1, min(max_n, 30) + 1):
+        for sides in ((2,) * beta, (3,) + (2,) * beta):
+            graph, poset = multipartite(sides)
+            if expand_schur(graph, poset, "closed") != expand_schur(graph, poset, "ww"):
+                return False
+    return True
+
+
 def count_table_agreement(max_n: int) -> bool:
     for n in range(min(max_n, 5) + 1):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -154,6 +165,7 @@ CHECKS = (
     ("peeled census matches enumeration at every hook bound", peeled_census_by_hook_bound),
     ("schur/monomial round trip", round_trip),
     ("coefficient routes agree", route_agreement),
+    ("closed forms match ww on K_(2^b) and K_(3,2^b) for b <= max-n", closed_forms_match_ww),
     ("expansion counts proper colorings", coloring_specialization),
     ("chain-union sequence count matches brute force", nsp_agreement),
     ("count table agrees with backtracking", count_table_agreement),

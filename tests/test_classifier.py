@@ -12,6 +12,7 @@ from chromsym import (
     verify_classification,
     witness_for,
 )
+from chromsym.posets import _side_product_counts
 
 
 def test_positive_verdicts():
@@ -82,13 +83,27 @@ def test_witness_for_matches_worked_examples():
 
 
 def test_bipartite_small_family():
-    # (5, 4) admits a searched witness; (4, 3) admits none at all
+    # (5, 4) has the witness (3, 3, 3); (4, 3) admits none at all
     report = classify((5, 4))
     assert report.reason == "BipartiteSmall"
     assert report.witness == (3, 3, 3)
     assert not multipartite_has_stable_partition((5, 4), (3, 3, 3))
     assert classify((4, 3)).witness is None
     assert witness_for((4, 3)) is None
+    # the closed-form witness is the reverse-lexicographic first dominated
+    # type without a stable partition, found by brute force over the side
+    # product's types
+    for m in range(4, 16):
+        lam = Partition((m, m - 1))
+        types = _side_product_counts(lam)
+        searched = next(
+            (mu for mu in partitions_of(lam.n) if dominates(lam, mu) and mu not in types),
+            None,
+        )
+        assert witness_for(lam) == searched, m
+    for m in (16, 40):
+        report = verify_classification((m, m - 1), "witness")
+        assert report.verified and report.witness == (m - 2, m - 2, 3)
 
 
 def test_witness_validity_sweep():

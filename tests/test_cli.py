@@ -207,13 +207,22 @@ def test_classify_verify_matches_verify(capsys, lam, mode):
         assert code == 2 and out == ""
 
 
+def test_full_verify_of_the_three_two_family_at_63_vertices(capsys):
+    # both routes of the scan walk only the shapes of at most 3 columns
+    lam = ",".join(["3"] + ["2"] * 30)
+    code, out, _ = run(capsys, "verify", "--mode", "full", "--lambda", lam, "--max-vertices", "100")
+    data = json.loads(out)
+    assert code == 0 and data["verified"] is True and data["verdict"] == "SchurPositive"
+
+
 def test_witness_mode_is_not_bound_by_the_bitmask(capsys):
     # certificates are checked on the sides, so no 64-vertex graph is built
     code, out, _ = run(capsys, "verify", "--mode", "witness", "--lambda", "40,40")
     data = json.loads(out)
     assert code == 0 and data["verified"] is True and data["witness"] == [39, 39, 2]
     code, out, _ = run(capsys, "classify", "--lambda", "40,39", "--verify", "witness")
-    assert code == 1 and json.loads(out)["witness"] is None
+    data = json.loads(out)
+    assert code == 0 and data["verified"] is True and data["witness"] == [38, 38, 3]
     lam = ",".join(["3"] + ["2"] * 32)  # 67 vertices
     code, out, _ = run(capsys, "verify", "--mode", "witness", "--lambda", lam)
     assert code == 0 and json.loads(out)["verified"] is True
@@ -311,7 +320,7 @@ def test_oracle_check(capsys):
     code, out, _ = run(capsys, "oracle-check", "--max-n", "4")
     assert code == 0
     lines = out.strip().splitlines()
-    assert len(lines) == 9
+    assert len(lines) == 10
     assert all(line.startswith("ok") for line in lines)
 
 

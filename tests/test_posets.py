@@ -142,6 +142,14 @@ def test_stable_partition_counts():
     assert stable_partition_count(c4, (2, 2, 2)) == 0
 
 
+def test_multipartite_count_reads_a_type_in_any_order():
+    assert multipartite_stable_partition_count((2, 1), (1, 2)) == 1
+    assert multipartite_stable_partition_count((1, 2), (1, 2)) == 1
+    assert multipartite_has_stable_partition((2, 1), (1, 2))
+    for mu in itertools.permutations((2, 2, 1, 1)):
+        assert multipartite_stable_partition_count((3, 3), mu) == 9
+
+
 def test_fast_path_agrees_with_backtracking():
     for n in range(1, 11):
         for lam in partitions_of(n):
@@ -192,6 +200,28 @@ def test_multipartite_edges_match_the_chain_union():
         for lam in partitions_of(n):
             g, _ = multipartite(lam)
             assert g.edges() == incomparability_graph(Poset.chain_union(lam)).edges()
+
+
+def test_chain_union_masks_match_the_closure_of_its_covers():
+    # chain_union writes its reachability masks; Poset closes the covers
+    for lengths in [(), (1,), (3, 2), (2, 0, 3), (1, 1, 1), (4, 4, 2, 1)]:
+        chains = Poset.chain_union(lengths)
+        closed = Poset(chains.size, chains.covers)
+        assert chains.size == sum(lengths)
+        assert [chains.above_mask(x) for x in range(chains.size)] == [
+            closed.above_mask(x) for x in range(closed.size)
+        ]
+    with pytest.raises(ValueError):
+        Poset.chain_union((2, -1))
+    with pytest.raises(CapExceededError):
+        Poset.chain_union((40, 25))
+
+
+def test_graph_given_by_sides_takes_no_edges():
+    g = Graph(3, sides=((0, 1), (2,)))
+    assert g.edges() == [(0, 2), (1, 2)] and g.side_sizes() == (2, 1)
+    with pytest.raises(ValueError):
+        Graph(3, [(0, 1)], sides=((0, 1), (2,)))
 
 
 def test_stable_partitions_enumerator_matches_count():

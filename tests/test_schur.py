@@ -230,6 +230,59 @@ def test_ww_census_skips_shapes_wider_than_alpha(monkeypatch):
         assert asked == list(partitions_of(graph.size, max_part=alpha)), alpha
 
 
+def test_every_route_on_k_lambda_skips_shapes_wider_than_its_largest_side(monkeypatch):
+    # every stable set of K_lambda lies in one side, so every route on it asks
+    # only for the shapes whose first row fits in the largest side; on a graph
+    # without sides, tabloid, tail and oracle ask for every shape
+    asked = []
+    setup = schur._setup_route
+
+    def spy(graph, order, route):
+        resolved, bound, coeff = setup(graph, order, route)
+
+        def spied(lam):
+            asked.append(tuple(lam))
+            return coeff(lam)
+
+        return resolved, bound, spied
+
+    monkeypatch.setattr(schur, "_setup_route", spy)
+    for sides in [(3, 2, 2), (2, 2, 2), (4, 2, 1), (3, 3, 1)]:
+        graph, poset = multipartite(sides)
+        bare = Graph(graph.size, graph.edges())
+        everything = list(partitions_of(graph.size))
+        within = list(partitions_of(graph.size, max_part=max(sides)))
+        for route in ("oracle", "tabloid", "tail"):
+            asked.clear()
+            if route == "oracle":
+                truth = expand_schur(bare, poset, route)
+            else:
+                assert expand_schur(bare, poset, route) == truth
+            assert asked == everything, route
+        for route in ROUTES:
+            if route == "closed" and not schur._closed_family(graph):
+                continue
+            asked.clear()
+            assert expand_schur(graph, poset, route) == truth
+            assert asked == within, (sides, route)
+        asked.clear()
+        positivity_scan(graph, poset)
+        assert asked and asked == within[: len(asked)]
+
+
+def test_closed_forms_match_ww_up_to_beta_20():
+    # both routes walk the shapes within the largest side, and the wider
+    # shapes are 0 on both, which the small graphs check shape by shape
+    for beta in range(1, 21):
+        for sides in ((2,) * beta, (3,) + (2,) * beta):
+            graph, poset = multipartite(sides)
+            closed = expand_schur(graph, poset, "closed")
+            assert closed == expand_schur(graph, poset, "ww"), sides
+            if graph.size <= 11:
+                for lam in partitions_of(graph.size):
+                    assert closed[lam] == coeff_report(graph, poset, lam, "ww").value
+
+
 def test_tail_expansion_builds_the_chain_union_once(monkeypatch):
     graph, _ = multipartite((3, 2, 2))
     expected = expand_schur(graph, None, "oracle")
