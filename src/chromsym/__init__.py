@@ -49,7 +49,6 @@ from .partitions import (
 from .posets import (
     Graph,
     Poset,
-    StablePartition,
     has_stable_partition,
     incomparability_graph,
     multipartite,
@@ -59,7 +58,6 @@ from .posets import (
     semi_ordered_count,
     stable_partition_count,
     stable_partition_count_backtracking,
-    stable_partitions,
     stable_sets,
 )
 from .schur import (

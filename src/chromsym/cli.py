@@ -348,14 +348,12 @@ def _help(command: str | None) -> str:
 def _parse_args(argv: list[str]) -> SimpleNamespace:
     """Read ``COMMAND (--flag VALUE | --flag=VALUE)...`` against COMMANDS.
 
-    Flags are matched in full (no prefixes); a repeated flag keeps its last
-    value. The result carries ``command`` and one attribute per flag of the
-    command (``--lambda`` as ``lam``, ``--max-n`` as ``max_n``), unset ones
-    holding their default or None. ``max_vertices`` is the one size budget
-    (``--max-vertices``, else ``CHROMSYM_MAX_VERTICES``, else
-    ``DEFAULT_MAX_VERTICES``) and must be positive; it bounds the vertices
-    of a graph or type and the cells of a shape. ``graph_source`` is the one
-    ``(flag, value)`` graph source given, or None; giving two is an error.
+    A repeated flag keeps its last value. The result carries ``command`` and
+    one attribute per flag of the command (``--lambda`` as ``lam``,
+    ``--max-n`` as ``max_n``), unset ones holding their default or None.
+    ``max_vertices`` (``--max-vertices``, else ``CHROMSYM_MAX_VERTICES``,
+    else ``DEFAULT_MAX_VERTICES``) must be positive. ``graph_source`` is the
+    one ``(flag, value)`` graph source given, or None; giving two is an error.
     """
     if not argv or argv[0] not in COMMANDS:
         got = f", got {argv[0]!r}" if argv else ""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Iterator
+from itertools import zip_longest
 
 from .errors import EmptyPartitionError, UnequalWeightError
 
@@ -116,11 +117,10 @@ def dominates(lam, mu) -> bool:
         raise UnequalWeightError(
             f"dominance compares partitions of equal weight, got {lam.n} and {mu.n}"
         )
-    acc_l = acc_m = 0
-    for i in range(max(len(lam), len(mu))):
-        acc_l += lam[i] if i < len(lam) else 0
-        acc_m += mu[i] if i < len(mu) else 0
-        if acc_l < acc_m:
+    ahead = 0
+    for a, b in zip_longest(lam, mu, fillvalue=0):
+        ahead += a - b
+        if ahead < 0:
             return False
     return True
 

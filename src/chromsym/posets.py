@@ -2,18 +2,16 @@
 
 Each graph keeps one count table: the semi-ordered stable-partition count
 of every type it has, which is the coefficient of m_type in X_G (Stanley
-1995). Complete multipartite graphs are the incomparability graphs of
-disjoint chain unions, which is also where the fast counting path lives: a
-stable set of such a graph is always a subset of a single side, so the
-table is a product over the sides of each side's set-partition types. Any
-other graph counts every type at once by inclusion-exclusion over vertex
-subsets.
+1995). A stable set of a complete multipartite graph, the incomparability
+graph of disjoint chains, lies inside one side, so its table is a product
+over the sides. A stable set of the graph of a natural unit interval order
+is a chain, so its table is counted chain by chain. Any other graph counts
+every type at once by inclusion-exclusion over vertex subsets.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from math import factorial
 
@@ -163,15 +161,14 @@ class Graph:
 
     ``sides`` is set only for graphs built by :func:`multipartite`: vertex
     tuples covering every vertex once, which make the graph complete
-    multipartite with those stable sides, given with no edges. It unlocks
-    the fast counting path. ``_counts`` is the graph's count table, X_G's
-    monomial coefficients: the semi-ordered stable-partition count of every
-    type the graph has, zeros left out. The first read fills it: by the
-    product over the sides for multipartite graphs, by one
-    inclusion-exclusion sweep for any other graph.
+    multipartite with those stable sides, given with no edges. ``reach`` is
+    set only by :func:`incomparability_graph`, for a natural unit interval
+    order. Each unlocks a fast path for ``_counts``, the graph's count
+    table: X_G's monomial coefficients, zeros left out, filled at the first
+    read (see :func:`_count_table`).
     """
 
-    __slots__ = ("size", "_adj", "sides", "_counts")
+    __slots__ = ("size", "_adj", "sides", "reach", "_counts")
 
     def __init__(self, size, edges=(), sides=None):
         _check_size(size)
@@ -195,22 +192,18 @@ class Graph:
         self.size = size
         self._adj = tuple(adj)
         self.sides = sides
+        self.reach = None
         self._counts = {}
 
     def adjacent(self, u: int, v: int) -> bool:
         return bool((self._adj[u] >> v) & 1)
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in range(self.size):
-            for v in iter_bits(self._adj[u] >> (u + 1)):
-                out.append((u, u + 1 + v))
-        return out
+        n = self.size
+        return [(u, u + 1 + v) for u in range(n) for v in iter_bits(self._adj[u] >> (u + 1))]
 
     def side_sizes(self) -> tuple[int, ...] | None:
-        if self.sides is None:
-            return None
-        return tuple(len(s) for s in self.sides)
+        return None if self.sides is None else tuple(map(len, self.sides))
 
     def to_json(self) -> dict:
         return {"n": self.size, "edges": [list(e) for e in self.edges()]}
@@ -228,40 +221,19 @@ class Graph:
         return f"Graph(size={self.size}, edges={self.edges()})"
 
 
-@dataclass(frozen=True)
-class StablePartition:
-    """A division of the vertices into disjoint stable blocks."""
-
-    blocks: tuple[frozenset, ...]
-
-    @property
-    def type(self) -> Partition:
-        return Partition(sorted((len(b) for b in self.blocks), reverse=True))
-
-    def validate(self, graph: Graph):
-        seen = set()
-        for block in self.blocks:
-            if block & seen:
-                raise ValueError("blocks are not disjoint")
-            seen |= block
-            block = sorted(block)
-            for i, u in enumerate(block):
-                for v in block[i + 1 :]:
-                    if graph.adjacent(u, v):
-                        raise ValueError(f"block {block} is not stable: edge ({u}, {v})")
-        if seen != set(range(graph.size)):
-            raise ValueError("blocks do not cover the vertex set")
-
-
 def incomparability_graph(poset: Poset) -> Graph:
-    """Graph on the poset elements with edges between incomparable pairs."""
-    edges = [
-        (x, y)
-        for x in range(poset.size)
-        for y in range(x + 1, poset.size)
-        if not poset.comparable(x, y)
-    ]
-    return Graph(poset.size, edges)
+    """Graph on the poset elements with edges between incomparable pairs. Its
+    ``reach`` is set when x < y iff y > reach[x], reach weakly increasing."""
+    n = poset.size
+    edges = [(x, y) for x in range(n) for y in range(x + 1, n) if not poset.comparable(x, y)]
+    graph = Graph(n, edges)
+    reach = [n - 1 - poset.strictly_above_mask(x).bit_count() for x in range(n)]
+    # x is not above itself, so reach[x] >= x
+    if reach == sorted(reach) and all(
+        poset.strictly_above_mask(x) == (1 << n) - (2 << r) for x, r in enumerate(reach)
+    ):
+        graph.reach = tuple(reach)
+    return graph
 
 
 def multipartite(lam) -> tuple[Graph, Poset]:
@@ -320,7 +292,6 @@ def _partition_blocks(graph: Graph, mu: Partition):
     """Backtracking over blocks; the block of the lowest uncovered vertex first.
 
     Yields tuples of block bitmasks, one tuple per unordered partition.
-    Consumed lazily, so stable_partitions streams its results.
     """
     adj = graph._adj
     remaining = Counter(mu)
@@ -339,18 +310,6 @@ def _partition_blocks(graph: Graph, mu: Partition):
             remaining[s] += 1
 
     yield from rec((1 << graph.size) - 1, [])
-
-
-def stable_partitions(graph: Graph, mu):
-    """Yield each unordered stable partition of type `mu` exactly once."""
-    mu = aspartition(mu)
-    if mu.n != graph.size:
-        return
-    for blocks in _partition_blocks(graph, mu):
-        ordered = sorted(
-            (frozenset(iter_bits(m)) for m in blocks), key=lambda b: (-len(b), min(b))
-        )
-        yield StablePartition(tuple(ordered))
 
 
 def stable_partition_count_backtracking(graph: Graph, mu) -> int:
@@ -382,14 +341,12 @@ def _multiplicity_factorials(mu) -> int:
 
 
 def _side_product_counts(sides: tuple[int, ...]) -> dict:
-    """{type: semi-ordered stable partitions of K_sides of that type}, zeros
-    left out.
+    """The count table of K_sides.
 
     Every stable set lives inside one side, so a stable partition is one set
     partition per side: the unordered counts are the product over the sides
     of each side's set-partition types, weighted by
-    :func:`_block_split_ways`, and each is then multiplied by its type's
-    multiplicity factorials.
+    :func:`_block_split_ways`.
     """
     table = {(): 1}
     for size in sides:
@@ -400,7 +357,12 @@ def _side_product_counts(sides: tuple[int, ...]) -> dict:
                 key = tuple(sorted(left + right, reverse=True))
                 grown[key] = grown.get(key, 0) + count * ways
         table = grown
-    # the keys are sorted already, so they are wrapped without validation
+    return _semi_ordered(table)
+
+
+def _semi_ordered(table: dict) -> dict:
+    """{type: semi-ordered count} from {sorted type: unordered count}; the
+    keys are sorted already, so they are wrapped without validation."""
     return {
         tuple.__new__(Partition, mu): count * _multiplicity_factorials(mu)
         for mu, count in table.items()
@@ -419,11 +381,10 @@ def multipartite_stable_partition_count(sides: tuple[int, ...], mu: tuple[int, .
 def multipartite_has_stable_partition(sides: tuple[int, ...], mu: tuple[int, ...]) -> bool:
     """Whether K_sides has a stable partition of type mu.
 
-    Every block lies inside one side, so this places the parts of mu, largest
-    first when mu is a partition, into the room each side has left, trying
-    each distinct room once, the smallest that fits first. The recursion is
-    memoized on the remaining room, sorted decreasingly, and the remaining
-    parts.
+    Every block lies inside one side, so this places the parts of mu in
+    order into the room each side has left, trying each distinct room once,
+    the smallest that fits first, memoized on the sorted room and the parts
+    left.
     """
     if sum(mu) != sum(sides):
         return False
@@ -447,14 +408,12 @@ def _sweep_counts(graph: Graph) -> dict:
 
     Ordered tuples of stable sets of sizes mu_1, mu_2, ... covering V number
     sum over X of (-1)^(n-|X|) * prod_i s_(mu_i)(X), where s_j(X) counts the
-    stable j-sets inside X (Bjorklund-Husfeldt-Koivisto). Each s_j is one
-    list indexed by mask, grown one vertex v at a time through
-    s_j(X + v) = s_j(X) + s_(j-1)(X minus N(v)); the lists stop at the
+    stable j-sets inside X (Bjorklund-Husfeldt-Koivisto); with blocks of
+    different sizes in the order of their sizes, that is the semi-ordered
+    count. Each s_j is one list indexed by mask, grown one vertex v at a time
+    through s_j(X + v) = s_j(X) + s_(j-1)(X minus N(v)), up to the
     independence number. Masks sharing a profile (s_1(X), s_2(X), ...) share
-    every product, so the sum runs over profiles. Blocks of different sizes
-    sit in the order of their sizes, so the ordered count is the
-    semi-ordered one. Returns a {type: semi-ordered count} dict over the
-    types with parts up to the independence number, zeros left out.
+    every product, so the sum runs over profiles.
     """
     n = graph.size
     if n == 0:
@@ -490,19 +449,57 @@ def _sweep_counts(graph: Graph) -> dict:
     return table
 
 
+def _chain_counts(reach) -> dict:
+    """The count table of inc(P), P the order where x < y iff y > reach[x].
+
+    A stable set is a chain of P; the elements join chains in order. At step
+    i the window keeps, in order, the length of each chain ending at an l
+    with reach[l] >= i, which i cannot extend; the other chains take any
+    later element, so only the sorted multiset of their lengths is kept.
+    """
+    states = {((), ()): 1}
+    lo = 0  # the window's first element
+    for i in range(len(reach)):
+        old = lo
+        while reach[lo] < i:
+            lo += 1
+        grown = {}
+        for (window, free), count in states.items():
+            if lo > old:
+                free = tuple(sorted(free + window[: lo - old]))
+                window = window[lo - old :]
+            # i starts a chain (k = 0) or extends a free one of length k
+            for k in {0, *free}:
+                rest = list(free)
+                if k:
+                    rest.remove(k)
+                key = (window + (k + 1,), tuple(rest))
+                grown[key] = grown.get(key, 0) + count * (free.count(k) or 1)
+        states = grown
+    table = {}
+    for (window, free), count in states.items():
+        mu = tuple(sorted(window + free, reverse=True))
+        table[mu] = table.get(mu, 0) + count
+    return _semi_ordered(table)
+
+
 def _count_table(graph: Graph) -> dict:
     """The graph's whole count table, filled at the first read.
 
     It maps each type the graph has to its semi-ordered stable-partition
-    count, which is the coefficient of m_type in X_G; types with no stable
-    partition are left out. A multipartite graph fills it by
-    :func:`_side_product_counts`, any other graph by one
-    :func:`_sweep_counts`.
+    count, the coefficient of m_type in X_G. A multipartite graph fills it by
+    :func:`_side_product_counts`, a graph with a ``reach`` by
+    :func:`_chain_counts`, any other graph by one :func:`_sweep_counts`.
     """
     table = graph._counts
     if not table:
         sizes = graph.side_sizes()
-        table = _side_product_counts(sizes) if sizes is not None else _sweep_counts(graph)
+        if sizes is not None:
+            table = _side_product_counts(sizes)
+        elif graph.reach is not None:
+            table = _chain_counts(graph.reach)
+        else:
+            table = _sweep_counts(graph)
         # another thread may fill too; both publish the same whole table
         graph._counts.update(table)
     return table
@@ -510,8 +507,7 @@ def _count_table(graph: Graph) -> dict:
 
 def semi_ordered_count(graph: Graph, mu) -> int:
     """Stable partitions of type `mu` with same-size blocks additionally
-    ordered, read from the graph's count table, which the first read fills
-    for every type (see :func:`_count_table`). Returns 0 when the weights
+    ordered, read from the graph's count table; 0 when the weights
     disagree."""
     mu = aspartition(mu)
     if mu.n != graph.size:

@@ -15,21 +15,16 @@ Four routes compute the same numbers and check each other:
 Closed forms cover the two multipartite families whose sides are all of size
 2, or one side of size 3 and the rest of size 2.
 
-The ``auto`` route picks ``closed`` for those two families and ``ww`` for
-every other graph; ``tabloid`` and ``tail`` enumerate filled tabloids and
-stay as explicit cross-check routes. They never read the count table, so
-their agreement with ``ww`` and ``oracle`` checks it.
+``auto`` picks ``closed`` for those two families and ``ww`` otherwise.
+``tabloid`` and ``tail`` never read the count table, so their agreement
+with ``ww`` and ``oracle`` checks it.
 
 Every entry point sets a route up once per graph (:func:`_setup_route`) and
 then asks it for one shape at a time. A shape whose first part exceeds the
 independence number alpha has coefficient 0: the last cell of its first row
 lies in a special rim hook that starts in column 1, so no tiling has all its
 hooks inside stable sets (Egecioglu-Remmel), and X_G has no monomial with a
-part over alpha (Stanley). So ``ww`` walks only the shapes with first part
-at most alpha, read from the count table, and every route on a complete
-multipartite graph walks only those within its largest side. The other
-routes on any other graph walk every shape, so that they never read the
-table.
+part over alpha (Stanley).
 """
 
 from __future__ import annotations
@@ -58,15 +53,12 @@ class CoeffReport:
     tabloid_counts: tuple[int, int] | None = None
 
     def to_json(self) -> dict:
-        data = {
+        return {
             "lambda": self.shape.to_json(),
             "value": str(self.value),
             "route": self.route,
+            "tabloid_counts": list(self.tabloid_counts) if self.tabloid_counts else None,
         }
-        data["tabloid_counts"] = (
-            list(self.tabloid_counts) if self.tabloid_counts else None
-        )
-        return data
 
 
 @dataclass(frozen=True)
@@ -92,17 +84,9 @@ def coeff_closed_2beta(beta: int, c: int, d: int) -> int:
 
 def _shape_rows(lam: Partition) -> tuple[int, int, int] | None:
     """Split a shape into (#rows of 3, #rows of 2, #rows of 1); None if a row exceeds 3."""
-    threes = twos = ones = 0
-    for part in lam:
-        if part > 3:
-            return None
-        if part == 3:
-            threes += 1
-        elif part == 2:
-            twos += 1
-        else:
-            ones += 1
-    return threes, twos, ones
+    if lam and lam[0] > 3:
+        return None
+    return lam.count(3), lam.count(2), lam.count(1)
 
 
 def coeff_closed_32beta(beta: int, lam) -> int:
@@ -164,7 +148,6 @@ def _needs_poset(lam):
 def _setup_route(graph: Graph, order, route: str):
     """Resolve ``auto`` and do the route's once-per-graph work.
 
-    ``auto`` takes the closed forms where they apply and ``ww`` otherwise.
     Returns the route; the largest first part a shape with a nonzero
     coefficient can have (the largest side of a multipartite graph, else the
     independence number for ``ww`` and n for the others); and a function

@@ -4,10 +4,13 @@ Each check takes the largest n to sweep and returns True when it holds. The
 route and coloring checks run on fixed small graphs and ignore ``max_n``; the
 closed-form check reads it as the number b of sides of size 2, up to 30; the
 count-table check stops at five vertices, where there are already 1,024
-graphs. ``CHECKS`` lists them in the order the command prints them.
+graphs, and the chain DP check at eight (1,430 orders).
+``CHECKS`` lists them in the order the command prints them.
 """
 
 from __future__ import annotations
+
+from itertools import combinations_with_replacement
 
 from .oracle import (
     KostkaMatrix,
@@ -23,6 +26,8 @@ from .partitions import dominates, partitions_of, sort_to_partition
 from .posets import (
     Graph,
     Poset,
+    _count_table,
+    _sweep_counts,
     incomparability_graph,
     multipartite,
     stable_partition_count,
@@ -150,6 +155,18 @@ def count_table_agreement(max_n: int) -> bool:
     return True
 
 
+def chain_counts_match_sweep(max_n: int) -> bool:
+    for n in range(min(max_n, 8) + 1):
+        # every weakly increasing reach with reach[x] >= x: each order once
+        for reach in combinations_with_replacement(range(n), n):
+            if all(r >= x for x, r in enumerate(reach)):
+                poset = Poset(n, [(x, y) for x, r in enumerate(reach) for y in range(r + 1, n)])
+                graph = incomparability_graph(poset)
+                if graph.reach != reach or _count_table(graph) != _sweep_counts(graph):
+                    return False
+    return True
+
+
 def nsp_agreement(max_n: int) -> bool:
     return all(
         nsp_chain_union(lam) == nsp_bruteforce(Poset.chain_union(lam))
@@ -169,4 +186,9 @@ CHECKS = (
     ("expansion counts proper colorings", coloring_specialization),
     ("chain-union sequence count matches brute force", nsp_agreement),
     ("count table agrees with backtracking", count_table_agreement),
+    (
+        "chain DP count table matches the sweep on every natural unit interval order"
+        " with n <= max-n",
+        chain_counts_match_sweep,
+    ),
 )

@@ -265,8 +265,7 @@ def signed_content_census(lam) -> MappingProxyType:
 
     By Egecioglu-Remmel this is the column `lam` of the inverse Kostka
     matrix. Decoded from the memoized peeling of the bottom hook
-    (:func:`_peel` with no hook bound), which lists no tilings and builds no
-    tabloid objects; its types are plain part tuples.
+    (:func:`_peel` with no hook bound); its types are plain part tuples.
     """
     lam = aspartition(lam)
     return MappingProxyType(

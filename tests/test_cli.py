@@ -320,7 +320,7 @@ def test_oracle_check(capsys):
     code, out, _ = run(capsys, "oracle-check", "--max-n", "4")
     assert code == 0
     lines = out.strip().splitlines()
-    assert len(lines) == 10
+    assert len(lines) == 11
     assert all(line.startswith("ok") for line in lines)
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chromsym.posets as posets
+from chromsym._util import iter_bits
 from chromsym import (
     CapExceededError,
     CycleError,
@@ -23,7 +24,6 @@ from chromsym import (
     semi_ordered_count,
     stable_partition_count,
     stable_partition_count_backtracking,
-    stable_partitions,
     stable_sets,
 )
 
@@ -225,15 +225,24 @@ def test_graph_given_by_sides_takes_no_edges():
 
 
 def test_stable_partitions_enumerator_matches_count():
-    for lam in [(2, 2), (3, 2), (2, 2, 1)]:
-        g, _ = multipartite(lam)
+    graphs = [multipartite(lam)[0] for lam in [(2, 2), (3, 2), (2, 2, 1)]]
+    graphs.append(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]))
+    for g in graphs:
+        full = (1 << g.size) - 1
         for mu in partitions_of(g.size):
-            found = list(stable_partitions(g, mu))
+            found = list(posets._partition_blocks(g, mu))
             assert len(found) == stable_partition_count(g, mu)
-            for sp in found:
-                sp.validate(g)
-                assert sp.type == mu
-            assert len(set(found)) == len(found)
+            # one unordered partition each: as sets of blocks they differ
+            assert len({frozenset(blocks) for blocks in found}) == len(found)
+            for blocks in found:
+                assert sorted(m.bit_count() for m in blocks) == sorted(mu)
+                covered = 0
+                for m in blocks:
+                    assert not covered & m
+                    covered |= m
+                    pairs = itertools.combinations(iter_bits(m), 2)
+                    assert not any(g.adjacent(u, v) for u, v in pairs)
+                assert covered == full
 
 
 def test_semi_ordered_counts():
@@ -301,6 +310,106 @@ def general_graphs(draw, max_n=9):
     return Graph(n, [e for e, k in zip(pairs, keep) if k])
 
 
+@st.composite
+def unit_interval_orders(draw, max_n=7):
+    """Natural unit interval orders on 0..n-1: i < j iff j > reach[i], where
+    reach is weakly increasing with reach[i] >= i."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    reach = []
+    for i in range(n):
+        low = max(i, reach[-1] if reach else 0)
+        reach.append(draw(st.integers(min_value=low, max_value=n - 1)))
+    covers = [(i, j) for i in range(n) for j in range(reach[i] + 1, n)]
+    return Poset(n, covers)
+
+
+def natural_order(reach):
+    """The natural unit interval order where x < y iff y > reach[x]."""
+    n = len(reach)
+    return Poset(n, [(x, y) for x, r in enumerate(reach) for y in range(r + 1, n)])
+
+
+def natural_reaches(n):
+    """Every weakly increasing reach on 0..n-1 with reach[x] >= x."""
+    return [
+        reach
+        for reach in itertools.combinations_with_replacement(range(n), n)
+        if all(r >= x for x, r in enumerate(reach))
+    ]
+
+
+def test_chain_counts_match_the_sweep_on_every_natural_order_up_to_eight():
+    catalan = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
+    for n in range(9):
+        reaches = natural_reaches(n)
+        assert len(reaches) == catalan[n]
+        for reach in reaches:
+            graph = incomparability_graph(natural_order(reach))
+            assert graph.reach == reach
+            assert posets._chain_counts(reach) == posets._sweep_counts(graph), reach
+    # no elements, one chain, one antichain
+    assert posets._chain_counts(()) == {(): 1}
+    assert posets._chain_counts((0, 1, 2, 3)) == {
+        (4,): 1,
+        (3, 1): 4,
+        (2, 2): 6,
+        (2, 1, 1): 12,
+        (1, 1, 1, 1): 24,
+    }
+    chain = incomparability_graph(Poset.chain(5))
+    assert chain.reach == (0, 1, 2, 3, 4)
+    assert posets._chain_counts(chain.reach) == posets._sweep_counts(chain)
+    antichain = incomparability_graph(Poset(5, []))
+    assert antichain.reach == (4,) * 5
+    assert posets._chain_counts(antichain.reach) == {(1, 1, 1, 1, 1): 120}
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_interval_orders(max_n=12))
+def test_chain_counts_match_the_sweep_on_random_natural_orders(poset):
+    graph = incomparability_graph(poset)
+    assert graph.reach is not None
+    assert posets._count_table(graph) == posets._sweep_counts(Graph(graph.size, graph.edges()))
+
+
+def relabelled(poset, perm):
+    """`poset` with element x renamed perm[x]."""
+    return Poset(poset.size, [(perm[lo], perm[hi]) for lo, hi in poset.covers])
+
+
+def test_natural_orders_count_by_chains_and_never_sweep(monkeypatch):
+    sweeps = []
+    sweep = posets._sweep_counts
+
+    def recording_sweep(graph):
+        sweeps.append(graph)
+        return sweep(graph)
+
+    monkeypatch.setattr(posets, "_sweep_counts", recording_sweep)
+    order = natural_order((2, 3, 4, 5, 5, 5))
+    natural = incomparability_graph(order)
+    assert natural.reach == (2, 3, 4, 5, 5, 5)
+    expected = semi_ordered_by_backtracking(Graph(6, natural.edges()))
+    assert stable_partition_count(natural, (2, 2, 2)) == expected[(2, 2, 2)] // 6
+    assert has_stable_partition(natural, (3, 3)) == ((3, 3) in expected)
+    assert natural._counts == expected and sweeps == []
+    # orders that are not natural unit interval orders as labelled sweep
+    others = [
+        relabelled(order, (5, 4, 3, 2, 1, 0)),
+        Poset.chain_union((2, 2)),
+        Poset.chain_union((3, 1)),
+        # every up-set is a suffix here, but reach (3, 1, 2, 3) decreases
+        relabelled(Poset.chain_union((3, 1)), (1, 2, 3, 0)),
+    ]
+    for poset in others:
+        graph = incomparability_graph(poset)
+        assert graph.reach is None
+        expected = semi_ordered_by_backtracking(Graph(graph.size, graph.edges()))
+        assert stable_partition_count(graph, (1,) * graph.size) == 1
+        assert graph._counts == expected and sweeps[-1] is graph
+    assert len(sweeps) == len(others)
+
+
 @settings(max_examples=80, deadline=None)
 @given(general_graphs())
 def test_count_table_sweep_matches_backtracking(graph):
@@ -312,13 +421,18 @@ def test_count_table_sweep_matches_backtracking(graph):
     assert {mu: stable_partition_count(graph, mu) for mu in expected} == expected
     assert graph._counts == semi_ordered_by_backtracking(fresh)
     for mu, count in expected.items():
-        exists = next(stable_partitions(fresh, mu), None) is not None
-        assert has_stable_partition(graph, mu) == exists == (count > 0)
+        assert has_stable_partition(graph, mu) == (count > 0)
 
 
-def test_count_table_shared_across_threads():
-    poset = Poset(8, [(i, j) for i in range(8) for j in range(i + 3, 8)])
+@pytest.mark.parametrize(
+    "perm, natural", [(range(8), True), (range(7, -1, -1), False)], ids=["chains", "sweep"]
+)
+def test_count_table_shared_across_threads(perm, natural):
+    # as labelled the order is natural, so its table is counted by chains;
+    # relabelled in reverse it is not, and the table is swept
+    poset = relabelled(Poset(8, [(i, j) for i in range(8) for j in range(i + 3, 8)]), perm)
     graph = incomparability_graph(poset)
+    assert (graph.reach is not None) == natural
     fresh = Graph(graph.size, graph.edges())
     expected = {mu: stable_partition_count_backtracking(fresh, mu) for mu in partitions_of(8)}
     results = []

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings
 
 from chromsym import (
     BadShapeError,
@@ -23,7 +23,7 @@ from chromsym import (
 from chromsym import Graph, stable_sets
 import chromsym.schur as schur
 from chromsym.schur import ROUTES, CoeffReport
-from test_posets import general_graphs
+from test_posets import general_graphs, unit_interval_orders
 
 
 def test_coeff_ww_values():
@@ -343,19 +343,6 @@ def test_ww_matches_oracle_on_random_graphs(graph):
     # 0, at n and at 1
     fresh = Graph(graph.size, graph.edges())
     assert expand_schur(graph, route="ww") == expand_schur(fresh, route="oracle")
-
-
-@st.composite
-def unit_interval_orders(draw, max_n=7):
-    """Natural unit interval orders on 0..n-1: i < j iff j > reach[i], where
-    reach is weakly increasing with reach[i] >= i."""
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    reach = []
-    for i in range(n):
-        low = max(i, reach[-1] if reach else 0)
-        reach.append(draw(st.integers(min_value=low, max_value=n - 1)))
-    covers = [(i, j) for i in range(n) for j in range(reach[i] + 1, n)]
-    return Poset(n, covers)
 
 
 @settings(max_examples=100, deadline=None)
