@@ -15,7 +15,9 @@ line on stderr with exit 2; help goes to stdout with exit 0.
 
 The size budget lives here and nowhere else: library functions compute what
 they are asked, and every command that does exhaustive work checks its size
-against ``--max-vertices`` once, before that work starts.
+against ``--max-vertices`` once, before that work starts. A graph source is
+checked on the size it declares, before any graph, poset or side of that
+size is built; ``oracle-check`` checks ``--max-n``.
 """
 
 from __future__ import annotations
@@ -79,7 +81,8 @@ def _default_max_vertices() -> int:
 
 
 def _load_graph(args) -> tuple[Graph, Poset | None, dict]:
-    """Resolve the command line's one graph source."""
+    """Resolve the command line's one graph source, checking the size it
+    declares against the budget before anything of that size is built."""
     if args.graph_source is None:
         raise UsageError(ONE_SOURCE)
     flag, value = args.graph_source
@@ -87,20 +90,22 @@ def _load_graph(args) -> tuple[Graph, Poset | None, dict]:
         parts = _parse_parts(value, flag)
         if not parts:
             raise UsageError("--multipartite needs at least one side size")
-        try:
-            graph, poset = multipartite(parts)
-        except (ChromsymError, ValueError) as exc:
-            raise UsageError(f"--multipartite: {exc}") from exc
-        return graph, poset, {"multipartite": parts}
-    data = _read_json(value)
-    if not isinstance(data, dict):
-        raise UsageError(f"{flag}: expected a JSON object, got {type(data).__name__}")
+        data = {"multipartite": parts}
+    else:
+        data = _read_json(value)
+        if not isinstance(data, dict):
+            raise UsageError(f"{flag}: expected a JSON object, got {type(data).__name__}")
     try:
         if "multipartite" in data:
             json_fields(data, ("multipartite",))
             parts = json_ints(data["multipartite"], "multipartite")
-            graph, poset = multipartite(parts)
+            lam = Partition(parts)
+            _check_size(lam.n, args)
+            graph, poset = multipartite(lam)
             return graph, poset, {"multipartite": parts}
+        # from_json reports an n that is missing or not an integer
+        if type(data.get("n")) is int:
+            _check_size(data["n"], args)
         if flag == "--poset-json":
             poset = Poset.from_json(data)
             return incomparability_graph(poset), poset, poset.to_json()
@@ -151,7 +156,6 @@ def _check_size(n: int, args):
 
 def _cmd_expand(args) -> int:
     graph, poset, source = _load_graph(args)
-    _check_size(graph.size, args)
     func = expand_schur(graph, poset, args.route)
     if args.format == "csv":
         lines = [f"{','.join(map(str, lam))};{value}" for lam, value in func.items()]
@@ -165,7 +169,6 @@ def _cmd_expand(args) -> int:
 
 def _cmd_coeff(args) -> int:
     graph, poset, source = _load_graph(args)
-    _check_size(graph.size, args)
     report = coeff_report(graph, poset, _parse_lambda(args.lam), args.route)
     payload = report.to_json()
     payload["graph"] = source
@@ -232,6 +235,7 @@ def _cmd_nsp(args) -> int:
 def _cmd_oracle_check(args) -> int:
     from .selfcheck import CHECKS
 
+    _check_size(args.max_n, args)
     failures = 0
     lines = []
     for name, check in CHECKS:
@@ -308,8 +312,10 @@ FLAG_HELP = {
     "--format": "output format",
     "--output": "write to a file instead of stdout",
     "--max-vertices": (
-        "size budget: vertices of the graph or type, cells of the shape "
-        f"(default {DEFAULT_MAX_VERTICES}, env {ENV_MAX_VERTICES})"
+        "size budget: vertices of the graph or type, cells of the shape, "
+        f"oracle-check's --max-n (default {DEFAULT_MAX_VERTICES}, env {ENV_MAX_VERTICES}); "
+        "the ww route, which auto picks off the closed families and full scans run, "
+        "counts at most 255 vertices"
     ),
 }
 HELP_FLAGS = ("-h", "--help")

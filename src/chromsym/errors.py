@@ -33,8 +33,8 @@ class BadShapeError(ChromsymError, ValueError):
     """A closed-form coefficient was requested for an incompatible shape."""
 
 
-class CapExceededError(ChromsymError, RuntimeError):
-    """A poset or graph exceeds the 64-element bitmask representation."""
+class CapExceededError(ChromsymError, ValueError):
+    """A shape has more cells than the census code counts (255)."""
 
 
 class PositiveFamilyError(ChromsymError, ValueError):

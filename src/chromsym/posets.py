@@ -16,27 +16,22 @@ from functools import cache
 from math import factorial
 
 from ._util import iter_bits, json_array, json_fields, json_int, json_ints
-from .errors import CapExceededError, CycleError, EmptyPartitionError
+from .errors import CycleError, EmptyPartitionError
 from .partitions import Partition, aspartition, partitions_of, dominates
-
-MAX_VERTICES = 64  # vertex sets are single-word bitmasks
 
 
 def _check_size(size: int):
     if size < 0:
         raise ValueError("size must be nonnegative")
-    if size > MAX_VERTICES:
-        raise CapExceededError(
-            f"at most {MAX_VERTICES} elements are supported (bitmask representation)"
-        )
 
 
 class Poset:
     """A finite partial order on elements 0..size-1.
 
     The relation is stored as one reachability bitmask per element:
-    ``above[x]`` has bit y set iff x <= y (reflexive). Optional string labels
-    name the elements. Instances are immutable after construction.
+    ``above[x]`` has bit y set iff x <= y (reflexive); a mask is an int of
+    any width. Optional string labels name the elements. Instances are
+    immutable after construction.
     """
 
     __slots__ = ("size", "covers", "labels", "_above")
@@ -93,7 +88,6 @@ class Poset:
         if any(ln < 0 for ln in lengths):
             raise ValueError("chain lengths must be nonnegative")
         size = sum(lengths)
-        _check_size(size)
         covers = []
         above = []
         start = 0
@@ -157,7 +151,7 @@ class Poset:
 
 
 class Graph:
-    """A finite simple graph on vertices 0..size-1 with bitmask adjacency.
+    """A finite simple graph on vertices 0..size-1 with int bitmask adjacency.
 
     ``sides`` is set only for graphs built by :func:`multipartite`: vertex
     tuples covering every vertex once, which make the graph complete

@@ -133,8 +133,7 @@ def coloring_specialization(max_n: int) -> bool:
 
 
 def closed_forms_match_ww(max_n: int) -> bool:
-    # K_(3,2^30) has 63 vertices, the last within the 64-vertex bitmask
-    for beta in range(1, min(max_n, 30) + 1):
+    for beta in range(1, max_n + 1):
         for sides in ((2,) * beta, (3,) + (2,) * beta):
             graph, poset = multipartite(sides)
             if expand_schur(graph, poset, "closed") != expand_schur(graph, poset, "ww"):

@@ -18,7 +18,7 @@ from functools import cache
 from types import MappingProxyType
 
 from ._util import iter_bits
-from .errors import NoAscentError, OrderIncompatibleError, SizeMismatchError
+from .errors import CapExceededError, NoAscentError, OrderIncompatibleError, SizeMismatchError
 from .partitions import Composition, Diagram, Partition, aspartition
 from .posets import Graph, Poset
 
@@ -239,7 +239,7 @@ def _peel(shape: tuple[int, ...], cap: int) -> dict:
     if not shape:
         return {0: 1}
     if sum(shape) > _SLOT_MASK:
-        raise ValueError(f"the census codes at most {_SLOT_MASK} cells, got {sum(shape)}")
+        raise CapExceededError(f"the census codes at most {_SLOT_MASK} cells, got {sum(shape)}")
     ell = len(shape)
     out = {}
     length = shape[-1]

@@ -215,8 +215,102 @@ def test_full_verify_of_the_three_two_family_at_63_vertices(capsys):
     assert code == 0 and data["verified"] is True and data["verdict"] == "SchurPositive"
 
 
+def three_two(beta, head=(3,), tail=()):
+    return ",".join(map(str, (*head, *(2,) * beta, *tail)))
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [
+        three_two(40),
+        three_two(37, (3, 3), (1, 1)),
+        three_two(20, (3,), (1,) * 40),
+        three_two(41, (), (1,)),
+        three_two(0, (), (1,) * 83),
+        three_two(39, (4,), (1,)),
+    ],
+    ids=["3,2^40", "3,3,2^37,1,1", "3,2^20,1^40", "2^41,1", "1^83", "4,2^39,1"],
+)
+def test_coeff_past_64_vertices_agrees_on_ww_and_closed(capsys, lam):
+    argv = ["coeff", "--multipartite", three_two(40), "--max-vertices", "83", "--lambda", lam]
+    code, ww, err = run(capsys, *argv, "--route", "ww")
+    assert code == 0 and err == ""
+    code, closed, _ = run(capsys, *argv, "--route", "closed")
+    assert code == 0
+    ww, closed = json.loads(ww), json.loads(closed)
+    assert ww.pop("route") == "ww" and closed.pop("route") == "closed"
+    assert ww == closed
+
+
+def test_full_verify_past_64_vertices(capsys):
+    argv = ("verify", "--mode", "full", "--lambda", three_two(31), "--max-vertices", "65")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and '"verified":true' in out
+
+
+def test_oversize_sources_are_refused_before_they_are_built(capsys, monkeypatch, tmp_path):
+    from chromsym import posets
+
+    built = []
+
+    def spy(build):
+        def record(*args, **kwargs):
+            built.append(build.__qualname__)
+            return build(*args, **kwargs)
+
+        return record
+
+    monkeypatch.setattr(chromsym.cli, "multipartite", spy(posets.multipartite))
+    for cls in (posets.Graph, posets.Poset):
+        monkeypatch.setattr(cls, "__init__", spy(cls.__init__))
+
+    def sources(n):
+        documents = [
+            ("--graph-json", {"n": n, "edges": [[0, n - 1]]}),
+            ("--graph-json", {"multipartite": [n // 2, n // 2]}),
+            ("--poset-json", {"n": n, "covers": [[0, n - 1]]}),
+        ]
+        yield "--multipartite", f"{n // 2},{n // 2}"
+        for i, (flag, doc) in enumerate(documents):
+            path = tmp_path / f"{n}-{i}.json"
+            path.write_text(json.dumps(doc))
+            yield flag, str(path)
+
+    for flag, value in sources(100):
+        code, out, err = run(capsys, "expand", flag, value, "--max-vertices", "99")
+        assert code == 2 and out == ""
+        assert err == "chromsym: error: size 100 is above --max-vertices 99\n"
+    assert built == []
+    # the spies see the sources that fit the budget being built
+    for flag, value in sources(4):
+        code, _, _ = run(capsys, "expand", flag, value, "--max-vertices", "99")
+        assert code == 0 and built
+        built.clear()
+
+
+def test_ww_past_the_census_code_is_one_usage_line(capsys):
+    argv = ("expand", "--multipartite", three_two(130), "--max-vertices", "300")
+    code, out, err = run(capsys, *argv, "--route", "ww")
+    assert code == 2 and out == ""
+    assert err == "chromsym: error: the census codes at most 255 cells, got 263\n"
+    code, out, _ = run(capsys, "expand", "--help")
+    assert code == 0 and "at most 255 vertices" in out
+
+
+def test_oracle_check_max_n_is_bounded_by_max_vertices(capsys, monkeypatch):
+    from chromsym import selfcheck
+
+    def refuse(max_n):
+        raise AssertionError("a check ran over the budget")
+
+    monkeypatch.setattr(selfcheck, "CHECKS", (("refuse", refuse),))
+    code, out, err = run(capsys, "oracle-check", "--max-n", "13")
+    assert code == 2 and out == ""
+    assert err == "chromsym: error: size 13 is above --max-vertices 12\n"
+
+
 def test_witness_mode_is_not_bound_by_the_bitmask(capsys):
-    # certificates are checked on the sides, so no 64-vertex graph is built
+    # certificates are checked on the sides, so no graph of the type is built
     code, out, _ = run(capsys, "verify", "--mode", "witness", "--lambda", "40,40")
     data = json.loads(out)
     assert code == 0 and data["verified"] is True and data["witness"] == [39, 39, 2]

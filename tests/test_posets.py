@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 import chromsym.posets as posets
 from chromsym._util import iter_bits
 from chromsym import (
-    CapExceededError,
     CycleError,
     EmptyPartitionError,
     Graph,
@@ -87,8 +86,12 @@ def test_graph_validation():
         Graph(2, [(0, 0)])
     with pytest.raises(ValueError):
         Graph(2, [(0, 5)])
-    with pytest.raises(CapExceededError):
-        Graph(100, [])
+    # masks are ints of any width, so there is no vertex limit
+    g = Graph(100, [(0, 99), (64, 70)])
+    assert g.size == 100 and g.edges() == [(0, 99), (64, 70)]
+    assert g.adjacent(99, 0) and g.adjacent(70, 64) and not g.adjacent(0, 64)
+    edgeless = Graph(100)
+    assert edgeless.edges() == [] and not edgeless.adjacent(63, 64)
 
 
 def test_multipartite_shapes():
@@ -204,7 +207,7 @@ def test_multipartite_edges_match_the_chain_union():
 
 def test_chain_union_masks_match_the_closure_of_its_covers():
     # chain_union writes its reachability masks; Poset closes the covers
-    for lengths in [(), (1,), (3, 2), (2, 0, 3), (1, 1, 1), (4, 4, 2, 1)]:
+    for lengths in [(), (1,), (3, 2), (2, 0, 3), (1, 1, 1), (4, 4, 2, 1), (40, 25)]:
         chains = Poset.chain_union(lengths)
         closed = Poset(chains.size, chains.covers)
         assert chains.size == sum(lengths)
@@ -213,8 +216,11 @@ def test_chain_union_masks_match_the_closure_of_its_covers():
         ]
     with pytest.raises(ValueError):
         Poset.chain_union((2, -1))
-    with pytest.raises(CapExceededError):
-        Poset.chain_union((40, 25))
+    # past 64 elements: the first chain is 0..39, the second 40..64
+    chains = Poset.chain_union((40, 25))
+    assert chains.above_mask(0) == (1 << 40) - 1
+    assert chains.above_mask(40) == (1 << 65) - (1 << 40)
+    assert chains.leq(40, 64) and not chains.comparable(39, 40)
 
 
 def test_graph_given_by_sides_takes_no_edges():
