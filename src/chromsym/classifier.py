@@ -140,15 +140,17 @@ def _verify_witness(report: ClassificationReport) -> bool:
 
 
 def _verify_scan(report: ClassificationReport) -> bool:
-    graph, poset = multipartite(report.type)
+    graph = multipartite(report.type)
     positive = report.verdict == SCHUR_POSITIVE
     if not _closed_family(graph):
-        return positivity_scan(graph, poset).all_nonnegative == positive
+        return positivity_scan(graph).all_nonnegative == positive
     # the closed forms give the sign; they must match the count table
-    # weighted by the signed tabloid census, which shares no code with them
-    closed = expand_schur(graph, poset, "closed")
+    # weighted by the signed tabloid census, which shares no code with them.
+    # ww goes first: past the census code's bound it refuses at once
+    ww = expand_schur(graph, route="ww")
+    closed = expand_schur(graph, route="closed")
     nonnegative = all(value >= 0 for _, value in closed)
-    return nonnegative == positive and closed == expand_schur(graph, poset, "ww")
+    return nonnegative == positive and closed == ww
 
 
 def verify_classification(lam, mode: str = "witness") -> ClassificationReport:

@@ -101,8 +101,7 @@ def _load_graph(args) -> tuple[Graph, Poset | None, dict]:
             parts = json_ints(data["multipartite"], "multipartite")
             lam = Partition(parts)
             _check_size(lam.n, args)
-            graph, poset = multipartite(lam)
-            return graph, poset, {"multipartite": parts}
+            return multipartite(lam), None, {"multipartite": parts}
         # from_json reports an n that is missing or not an integer
         if type(data.get("n")) is int:
             _check_size(data["n"], args)
@@ -290,7 +289,7 @@ COMMANDS = {
     "oracle-check": (
         _cmd_oracle_check,
         "run the cross-validation battery",
-        {"--max-n": int, "--format": ("json",), **COMMON_FLAGS},
+        {"--max-n": int, **COMMON_FLAGS},
         (),
     ),
 }

@@ -153,13 +153,13 @@ class Poset:
 class Graph:
     """A finite simple graph on vertices 0..size-1 with int bitmask adjacency.
 
-    ``sides`` is set only for graphs built by :func:`multipartite`: vertex
-    tuples covering every vertex once, which make the graph complete
-    multipartite with those stable sides, given with no edges. ``reach`` is
-    set only by :func:`incomparability_graph`, for a natural unit interval
-    order. Each unlocks a fast path for ``_counts``, the graph's count
-    table: X_G's monomial coefficients, zeros left out, filled at the first
-    read (see :func:`_count_table`).
+    ``sides``, given instead of edges, is a partition of ``size``: the side
+    sizes of a complete multipartite graph, in vertex order, side i taking the
+    next sides[i] vertices. ``reach`` is set only by
+    :func:`incomparability_graph`, for a natural unit interval order. Each
+    unlocks a fast path for ``_counts``, the graph's count table: X_G's
+    monomial coefficients, zeros left out, filled at the first read (see
+    :func:`_count_table`).
     """
 
     __slots__ = ("size", "_adj", "sides", "reach", "_counts")
@@ -170,11 +170,15 @@ class Graph:
         if sides is not None:
             if edges:
                 raise ValueError("a graph given by its sides takes no edges")
+            sides = aspartition(sides)
+            if sides.n != size:
+                raise ValueError(f"sides {tuple(sides)} do not sum to the size {size}")
             full = (1 << size) - 1
-            for side in sides:
-                mask = sum(1 << v for v in side)
-                for v in side:
-                    adj[v] = full ^ mask
+            start = 0
+            for ln in sides:
+                end = start + ln
+                adj[start:end] = [full ^ ((1 << end) - (1 << start))] * ln
+                start = end
         for u, v in edges:
             u, v = int(u), int(v)
             if not (0 <= u < size and 0 <= v < size):
@@ -195,9 +199,6 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         n = self.size
         return [(u, u + 1 + v) for u in range(n) for v in iter_bits(self._adj[u] >> (u + 1))]
-
-    def side_sizes(self) -> tuple[int, ...] | None:
-        return None if self.sides is None else tuple(map(len, self.sides))
 
     def to_json(self) -> dict:
         return {"n": self.size, "edges": [list(e) for e in self.edges()]}
@@ -230,23 +231,14 @@ def incomparability_graph(poset: Poset) -> Graph:
     return graph
 
 
-def multipartite(lam) -> tuple[Graph, Poset]:
-    """Build K_lambda, the incomparability graph of disjoint chains.
-
-    Side i holds lam[i] vertices, numbered consecutively; the lowest-numbered
-    vertex of a side is the minimum of its chain. Every vertex is adjacent to
-    every vertex outside its side. Returns the graph and the chain-union
-    poset.
-    """
+def multipartite(lam) -> Graph:
+    """Build K_lambda, the incomparability graph of disjoint chains: side i
+    holds lam[i] vertices, adjacent to every vertex outside it. Its chain
+    order is ``Poset.chain_union(lam)``."""
     lam = aspartition(lam)
     if not lam:
         raise EmptyPartitionError("a multipartite graph needs at least one side")
-    sides = []
-    start = 0
-    for ln in lam:
-        sides.append(tuple(range(start, start + ln)))
-        start += ln
-    return Graph(start, sides=tuple(sides)), Poset.chain_union(lam)
+    return Graph(lam.n, sides=lam)
 
 
 def _stable_extensions(adj, allowed_mask, base_vertex, size):
@@ -487,9 +479,8 @@ def _count_table(graph: Graph) -> dict:
     """
     table = graph._counts
     if not table:
-        sizes = graph.side_sizes()
-        if sizes is not None:
-            table = _side_product_counts(sizes)
+        if graph.sides is not None:
+            table = _side_product_counts(graph.sides)
         elif graph.reach is not None:
             table = _chain_counts(graph.reach)
         else:
@@ -527,9 +518,8 @@ def has_stable_partition(graph: Graph, mu) -> bool:
     mu = aspartition(mu)
     if mu.n != graph.size:
         return False
-    sizes = graph.side_sizes()
-    if sizes is not None:
-        return multipartite_has_stable_partition(sizes, mu)
+    if graph.sides is not None:
+        return multipartite_has_stable_partition(graph.sides, mu)
     return mu in _count_table(graph)
 
 

@@ -118,7 +118,7 @@ def coeff_closed_32beta(beta: int, lam) -> int:
 
 
 def _closed_family(graph: Graph) -> tuple[str, int] | None:
-    sizes = graph.side_sizes()
+    sizes = graph.sides
     if not sizes:
         return None
     if all(s == 2 for s in sizes):
@@ -154,15 +154,17 @@ def _setup_route(graph: Graph, order, route: str):
     from a shape of the graph's weight to its coefficient and, for the
     enumerating routes, its (positive, negative) tabloid counts, else None.
     ``closed`` refuses a graph outside its families here, whatever the
-    shape; ``tail`` on a graph given without its poset refuses each shape it
-    is asked for, so that a shape of the wrong weight still answers 0.
+    shape. ``tail`` given no poset builds K_lambda's chain order,
+    ``Poset.chain_union(graph.sides)``, the one place that order is built; on any
+    other graph given without its poset it refuses each shape it is asked
+    for, so that a shape of the wrong weight still answers 0.
     """
     if route not in ROUTES:
         raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
     family = _closed_family(graph)
     if route == "auto":
         route = "closed" if family else "ww"
-    sizes = graph.side_sizes()
+    sizes = graph.sides
     # every stable set of a multipartite graph lies inside one side
     bound = max(sizes) if sizes else graph.size
     if route == "ww":
@@ -186,9 +188,8 @@ def _setup_route(graph: Graph, order, route: str):
         return route, bound, lambda lam: (_closed_coeff(family, lam), None)
     tail = route == "tail"
     if tail and not isinstance(order, Poset):
-        if graph.sides is None:
+        if sizes is None:
             return route, bound, _needs_poset
-        # sides hold consecutively numbered vertices, rank 0 the chain minimum
         order = Poset.chain_union(sizes)
 
     def tabloids(lam):

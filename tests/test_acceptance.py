@@ -59,7 +59,7 @@ def test_criterion_2_route_equivalence_up_to_seven():
     mismatches = []
     for n in range(1, 8):
         for lam in partitions_of(n):
-            graph, poset = multipartite(lam)
+            graph, poset = multipartite(lam), Poset.chain_union(lam)
             oracle = monomial_to_schur(x_in_monomial(graph))
             for mu in partitions_of(n):
                 values = {
@@ -89,7 +89,7 @@ def test_criterion_3_exact_expansions():
     }
     ok = True
     for lam, expected in (((2, 2), expected_c4), ((3, 2), expected_k32)):
-        graph, poset = multipartite(lam)
+        graph, poset = multipartite(lam), Poset.chain_union(lam)
         oracle = monomial_to_schur(x_in_monomial(graph))
         ok = ok and {tuple(k): v for k, v in oracle.items()} == expected
         for route in ("ww", "tabloid", "tail", "closed"):
@@ -101,7 +101,7 @@ def test_criterion_3_exact_expansions():
 def test_criterion_4_closed_form_agreement():
     ok = True
     for beta in (1, 2, 3):
-        graph, poset = multipartite((2,) * beta)
+        graph, poset = multipartite((2,) * beta), Poset.chain_union((2,) * beta)
         for mu in partitions_of(2 * beta):
             threes = sum(1 for p in mu if p >= 3)
             twos = mu.count(2)
@@ -114,7 +114,7 @@ def test_criterion_4_closed_form_agreement():
             )
     zero_convention_hit = False
     for beta in (1, 2):
-        graph, poset = multipartite((3,) + (2,) * beta)
+        graph, poset = multipartite((3,) + (2,) * beta), Poset.chain_union((3,) + (2,) * beta)
         for mu in partitions_of(2 * beta + 3):
             closed = coeff_closed_32beta(beta, mu)
             ok = ok and closed == coeff_report(graph, poset, mu, "tail").value
@@ -131,7 +131,7 @@ def test_criterion_4_closed_form_agreement():
 def test_criterion_5_boundary_family_schur_positive():
     ok = True
     for beta in (1, 2):
-        graph, poset = multipartite((3,) + (2,) * beta)
+        graph, poset = multipartite((3,) + (2,) * beta), Poset.chain_union((3,) + (2,) * beta)
         ok = ok and positivity_scan(graph, poset).all_nonnegative
     for beta in range(1, 7):
         for mu in partitions_of(2 * beta + 3):
@@ -145,10 +145,10 @@ def test_criterion_5_boundary_family_schur_positive():
 
 
 def test_criterion_6_negative_certificates():
-    claw, claw_poset = multipartite((3, 1))
+    claw, claw_poset = multipartite((3, 1)), Poset.chain_union((3, 1))
     oracle_value = monomial_to_schur(x_in_monomial(claw))[(2, 2)]
     scan_claw = positivity_scan(claw, claw_poset)
-    g33, p33 = multipartite((3, 3))
+    g33, p33 = multipartite((3, 3)), Poset.chain_union((3, 3))
     scan_33 = positivity_scan(g33, p33)
     ok = (
         oracle_value == -1
@@ -205,7 +205,7 @@ def test_criterion_8_sign_reversing_involution():
     ok = True
     for n in range(1, 7):
         for lam in partitions_of(n):
-            graph, poset = multipartite(lam)
+            graph, poset = multipartite(lam), Poset.chain_union(lam)
             for shape in partitions_of(n):
                 tabs = enumerate_srh_g_tabloids(graph, poset, shape)
                 groups = defaultdict(list)
@@ -271,7 +271,7 @@ def test_criterion_10_specialization_referee():
     ok = True
     for n in range(1, 7):
         for lam in partitions_of(n):
-            graph, poset = multipartite(lam)
+            graph, poset = multipartite(lam), Poset.chain_union(lam)
             func = expand_schur(graph, poset)
             for q in range(5):
                 ok = ok and specialize_ones(func, q) == coloring_count(graph, q)

@@ -288,6 +288,46 @@ def test_oversize_sources_are_refused_before_they_are_built(capsys, monkeypatch,
         built.clear()
 
 
+def test_multipartite_source_builds_the_chain_order_only_for_tail(capsys, monkeypatch):
+    from chromsym import posets
+
+    built = []
+    init, chain_union = posets.Poset.__init__, posets.Poset.chain_union
+
+    def spy_init(self, *args, **kwargs):
+        built.append("Poset")
+        init(self, *args, **kwargs)
+
+    def spy_chain_union(cls, lengths):
+        built.append(tuple(lengths))
+        return chain_union(lengths)
+
+    monkeypatch.setattr(posets.Poset, "__init__", spy_init)
+    monkeypatch.setattr(posets.Poset, "chain_union", classmethod(spy_chain_union))
+    code, auto, _ = run(capsys, "expand", "--multipartite", "4,3,2")
+    assert code == 0 and built == []
+    code, tail, _ = run(capsys, "expand", "--multipartite", "4,3,2", "--route", "tail")
+    assert code == 0 and built == [(4, 3, 2)]
+    assert tail == auto
+
+
+def test_full_scan_past_the_census_code_refuses_before_the_closed_forms(capsys, monkeypatch):
+    from chromsym import schur
+
+    def refuse(family, lam):
+        raise AssertionError("the closed forms ran before ww's census")
+
+    monkeypatch.setattr(schur, "_closed_coeff", refuse)
+    lam = three_two(130)
+    for argv in (
+        ("verify", "--mode", "full", "--lambda", lam),
+        ("classify", "--verify", "full", "--lambda", lam),
+    ):
+        code, out, err = run(capsys, *argv, "--max-vertices", "300")
+        assert code == 2 and out == ""
+        assert err == "chromsym: error: the census codes at most 255 cells, got 263\n"
+
+
 def test_ww_past_the_census_code_is_one_usage_line(capsys):
     argv = ("expand", "--multipartite", three_two(130), "--max-vertices", "300")
     code, out, err = run(capsys, *argv, "--route", "ww")
@@ -416,6 +456,10 @@ def test_oracle_check(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 11
     assert all(line.startswith("ok") for line in lines)
+    assert lines[-1].endswith("with n <= min(max-n, 8)")
+    # the battery prints text lines only, so it takes no --format
+    code, out, err = run(capsys, "oracle-check", "--format", "json")
+    assert code == 2 and out == "" and "unknown flag '--format'" in err
 
 
 def test_usage_error_is_one_stderr_line(capsys):
@@ -465,6 +509,25 @@ def test_nsp_loads_neither_argparse_nor_the_battery():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "1\n0 []\n"
+
+
+def test_benchmark_trace_targets_exist_after_importing_the_cli():
+    # the traced benchmark drops the metrics of a target it cannot find
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "import runpy, sys\n"
+        "import chromsym.cli\n"
+        f"targets = runpy.run_path({str(root / 'perfbench' / 'spans.py')!r})['TARGETS']\n"
+        "print(sorted(f'{layer}.{name}' for layer, names in targets.items() for name in names\n"
+        "             if not callable(getattr(sys.modules['chromsym.' + layer], name, None))))\n"
+    )
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_bad_lambda(capsys):

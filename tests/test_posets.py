@@ -95,16 +95,16 @@ def test_graph_validation():
 
 
 def test_multipartite_shapes():
-    claw, claw_poset = multipartite((3, 1))
+    claw, claw_poset = multipartite((3, 1)), Poset.chain_union((3, 1))
     assert claw.edges() == [(0, 3), (1, 3), (2, 3)]
-    assert claw.sides == ((0, 1, 2), (3,))
+    assert claw.sides == (3, 1)
     assert claw_poset.leq(0, 1) and claw_poset.leq(1, 2) and not claw_poset.comparable(2, 3)
 
-    c4, poset = multipartite((2, 2))
+    c4, poset = multipartite((2, 2)), Poset.chain_union((2, 2))
     assert c4.edges() == [(0, 2), (0, 3), (1, 2), (1, 3)]
     assert poset.leq(0, 1) and not poset.leq(0, 2)
 
-    edgeless, _ = multipartite((5,))
+    edgeless = multipartite((5,))
     assert edgeless.edges() == []
 
     with pytest.raises(EmptyPartitionError):
@@ -112,18 +112,18 @@ def test_multipartite_shapes():
 
 
 def test_stable_sets():
-    g32, _ = multipartite((3, 2))
+    g32 = multipartite((3, 2))
     assert list(stable_sets(g32, 3)) == [frozenset({0, 1, 2})]
     assert list(stable_sets(g32, 0)) == [frozenset()]
-    c4, _ = multipartite((2, 2))
+    c4 = multipartite((2, 2))
     assert sorted(stable_sets(c4, 2)) == [frozenset({0, 1}), frozenset({2, 3})]
 
 
 def test_stable_sets_of_multipartite_live_in_one_side():
     for n in range(1, 11):
         for lam in partitions_of(n):
-            g, _ = multipartite(lam)
-            side_of = {v: i for i, side in enumerate(g.sides) for v in side}
+            g = multipartite(lam)
+            side_of = [i for i, size in enumerate(g.sides) for _ in range(size)]
             total = 0
             for size in range(1, g.size + 1):
                 for s in stable_sets(g, size):
@@ -134,12 +134,12 @@ def test_stable_sets_of_multipartite_live_in_one_side():
 
 
 def test_stable_partition_counts():
-    c4, _ = multipartite((2, 2))
+    c4 = multipartite((2, 2))
     assert stable_partition_count(c4, (2, 2)) == 1
-    g32, _ = multipartite((3, 2))
+    g32 = multipartite((3, 2))
     assert stable_partition_count(g32, (2, 2, 1)) == 3
     for lam in [(3, 2), (2, 2, 2), (4, 1)]:
-        g, _ = multipartite(lam)
+        g = multipartite(lam)
         assert stable_partition_count(g, lam) == 1
     # weight mismatch returns zero instead of raising
     assert stable_partition_count(c4, (2, 2, 2)) == 0
@@ -156,7 +156,7 @@ def test_multipartite_count_reads_a_type_in_any_order():
 def test_fast_path_agrees_with_backtracking():
     for n in range(1, 11):
         for lam in partitions_of(n):
-            g, _ = multipartite(lam)
+            g = multipartite(lam)
             bare = Graph(g.size, g.edges())
             for mu in partitions_of(n):
                 fast = multipartite_stable_partition_count(lam, mu)
@@ -169,7 +169,7 @@ def test_fast_path_agrees_with_backtracking():
     # on every pair of types up to n = 14
     for n in range(11, 15):
         for lam in partitions_of(n):
-            g, _ = multipartite(lam)
+            g = multipartite(lam)
             for mu in partitions_of(n):
                 assert multipartite_has_stable_partition(lam, mu) == (
                     stable_partition_count(g, mu) > 0
@@ -192,7 +192,7 @@ def semi_ordered_by_backtracking(graph):
 def test_multipartite_count_table_is_whole_after_one_read():
     for n in range(1, 9):
         for lam in partitions_of(n):
-            g, _ = multipartite(lam)
+            g = multipartite(lam)
             assert stable_partition_count(g, lam) == 1, lam
             bare = Graph(g.size, g.edges())
             assert g._counts == semi_ordered_by_backtracking(bare), lam
@@ -201,7 +201,7 @@ def test_multipartite_count_table_is_whole_after_one_read():
 def test_multipartite_edges_match_the_chain_union():
     for n in range(1, 9):
         for lam in partitions_of(n):
-            g, _ = multipartite(lam)
+            g = multipartite(lam)
             assert g.edges() == incomparability_graph(Poset.chain_union(lam)).edges()
 
 
@@ -224,14 +224,21 @@ def test_chain_union_masks_match_the_closure_of_its_covers():
 
 
 def test_graph_given_by_sides_takes_no_edges():
-    g = Graph(3, sides=((0, 1), (2,)))
-    assert g.edges() == [(0, 2), (1, 2)] and g.side_sizes() == (2, 1)
+    g = Graph(3, sides=(2, 1))
+    assert g.edges() == [(0, 2), (1, 2)] and g.sides == (2, 1)
+    assert g.edges() == multipartite((2, 1)).edges()
     with pytest.raises(ValueError):
-        Graph(3, [(0, 1)], sides=((0, 1), (2,)))
+        Graph(3, [(0, 1)], sides=(2, 1))
+    # sides are the sizes of a partition of the size, in vertex order
+    for size, sides in [(3, (1,)), (5, (2, 3)), (2, (2, 0))]:
+        with pytest.raises(ValueError):
+            Graph(size, sides=sides)
+    with pytest.raises(TypeError):
+        Graph(3, sides=((0,),))
 
 
 def test_stable_partitions_enumerator_matches_count():
-    graphs = [multipartite(lam)[0] for lam in [(2, 2), (3, 2), (2, 2, 1)]]
+    graphs = [multipartite(lam) for lam in [(2, 2), (3, 2), (2, 2, 1)]]
     graphs.append(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]))
     for g in graphs:
         full = (1 << g.size) - 1
@@ -252,9 +259,9 @@ def test_stable_partitions_enumerator_matches_count():
 
 
 def test_semi_ordered_counts():
-    c4, _ = multipartite((2, 2))
+    c4 = multipartite((2, 2))
     assert semi_ordered_count(c4, (2, 2)) == 2
-    g32, _ = multipartite((3, 2))
+    g32 = multipartite((3, 2))
     assert semi_ordered_count(g32, (1, 1, 1, 1, 1)) == 120
     # distinct part sizes leave the count unchanged
     assert semi_ordered_count(g32, (3, 2)) == stable_partition_count(g32, (3, 2))
@@ -262,7 +269,7 @@ def test_semi_ordered_counts():
 
 def test_semi_ordered_divisible_by_plain_count():
     for lam in [(2, 2), (3, 2), (2, 2, 1), (3, 1)]:
-        g, _ = multipartite(lam)
+        g = multipartite(lam)
         for mu in partitions_of(g.size):
             plain = stable_partition_count(g, mu)
             if plain:
@@ -295,7 +302,7 @@ def test_count_table_counts_each_type_once_per_graph(monkeypatch):
     assert stable_partition_count(Graph(5, c5.edges()), (2, 2, 1)) == 5
     assert len(sweeps) == 2
     # multipartite graphs fill their table by the side product, no sweep
-    g32, _ = multipartite((3, 2))
+    g32 = multipartite((3, 2))
     assert stable_partition_count(g32, (2, 2, 1)) == 3
     assert has_stable_partition(g32, (3, 2))
     assert len(sweeps) == 2
@@ -461,12 +468,12 @@ def test_count_table_shared_across_threads(perm, natural):
 
 
 def test_has_stable_partition():
-    g, _ = multipartite((5, 5, 5, 4, 3, 3))
+    g = multipartite((5, 5, 5, 4, 3, 3))
     assert has_stable_partition(g, (5, 5, 5, 4, 3, 3))
     assert not has_stable_partition(g, (5, 5, 4, 4, 4, 3))
-    g2, _ = multipartite((6, 6, 5, 5, 5))
+    g2 = multipartite((6, 6, 5, 5, 5))
     assert not has_stable_partition(g2, (5, 5, 5, 5, 5, 2))
-    anything, _ = multipartite((4, 3))
+    anything = multipartite((4, 3))
     assert has_stable_partition(anything, (1,) * 7)
 
 
@@ -478,18 +485,18 @@ def test_has_stable_partition_generic_graph():
 
 
 def test_niceness_violation():
-    g33, _ = multipartite((3, 3))
+    g33 = multipartite((3, 3))
     assert niceness_violation(g33, (3, 3)) == (2, 2, 2)
-    g, _ = multipartite((5, 4, 4, 4))
+    g = multipartite((5, 4, 4, 4))
     assert niceness_violation(g, (5, 4, 4, 4)) == (5, 4, 3, 3, 2)
-    edgeless, _ = multipartite((5,))
+    edgeless = multipartite((5,))
     assert niceness_violation(edgeless, (5,)) is None
     with pytest.raises(ValueError):
         niceness_violation(g33, (4, 2))
 
 
 def test_niceness_violation_length_bound():
-    g33, _ = multipartite((3, 3))
+    g33 = multipartite((3, 3))
     # no dominated type of length <= 2 is missing, the violation needs 3 blocks
     assert niceness_violation(g33, (3, 3), max_length=2) is None
     assert niceness_violation(g33, (3, 3), max_length=3) == (2, 2, 2)

@@ -27,31 +27,31 @@ from test_posets import general_graphs, unit_interval_orders
 
 
 def test_coeff_ww_values():
-    c4, _ = multipartite((2, 2))
+    c4 = multipartite((2, 2))
     assert coeff_report(c4, None, (1, 1, 1, 1), "ww").value == 14
-    claw, _ = multipartite((3, 1))
+    claw = multipartite((3, 1))
     assert coeff_report(claw, None, (2, 2), "ww").value == -1
     assert coeff_report(c4, None, (5,), "ww").value == 0  # weight mismatch
 
 
 def test_coeff_tabloids_values():
-    g32, p32 = multipartite((3, 2))
+    g32, p32 = multipartite((3, 2)), Poset.chain_union((3, 2))
     assert coeff_report(g32, p32, (3, 2), "tabloid").value == 1
-    c4, p4 = multipartite((2, 2))
+    c4, p4 = multipartite((2, 2)), Poset.chain_union((2, 2))
     assert coeff_report(c4, p4, (2, 1, 1), "tabloid").value == 2
     assert coeff_report(c4, p4, (5,), "tabloid").value == 0
 
 
 def test_coeff_tail_values():
-    g32, p32 = multipartite((3, 2))
+    g32, p32 = multipartite((3, 2)), Poset.chain_union((3, 2))
     assert coeff_report(g32, p32, (1, 1, 1, 1, 1), "tail").value == 46
-    c4, p4 = multipartite((2, 2))
+    c4, p4 = multipartite((2, 2)), Poset.chain_union((2, 2))
     assert coeff_report(c4, p4, (2, 2), "tail").value == 2
     assert coeff_report(c4, p4, (2, 2, 1), "tail").value == 0
 
 
 def test_tail_counts_are_all_positive_for_single_column():
-    g32, p32 = multipartite((3, 2))
+    g32, p32 = multipartite((3, 2)), Poset.chain_union((3, 2))
     report = coeff_report(g32, p32, (1, 1, 1, 1, 1), "tail")
     assert report.value == 46
     assert report.tabloid_counts == (46, 0)
@@ -85,7 +85,7 @@ def test_coeff_closed_32beta():
 def test_route_equivalence_small():
     for n in range(1, 6):
         for lam in partitions_of(n):
-            graph, poset = multipartite(lam)
+            graph, poset = multipartite(lam), Poset.chain_union(lam)
             oracle = monomial_to_schur(x_in_monomial(graph))
             for mu in partitions_of(n):
                 expected = oracle[mu]
@@ -95,13 +95,13 @@ def test_route_equivalence_small():
 
 
 def test_expand_schur_known_expansions():
-    c4, p4 = multipartite((2, 2))
+    c4, p4 = multipartite((2, 2)), Poset.chain_union((2, 2))
     assert dict(expand_schur(c4, p4).items()) == {
         Partition((2, 2)): 2,
         Partition((2, 1, 1)): 2,
         Partition((1, 1, 1, 1)): 14,
     }
-    g32, p32 = multipartite((3, 2))
+    g32, p32 = multipartite((3, 2)), Poset.chain_union((3, 2))
     assert dict(expand_schur(g32, p32).items()) == {
         Partition((3, 2)): 1,
         Partition((3, 1, 1)): 1,
@@ -112,7 +112,7 @@ def test_expand_schur_known_expansions():
 
 
 def test_expand_schur_claw_has_negative_coefficient():
-    claw, pc = multipartite((3, 1))
+    claw, pc = multipartite((3, 1)), Poset.chain_union((3, 1))
     func = expand_schur(claw, pc)
     assert func[(2, 2)] == -1
     # the zero coefficient at (4) is not stored
@@ -121,33 +121,33 @@ def test_expand_schur_claw_has_negative_coefficient():
 
 
 def test_expand_routes_agree():
-    g, p = multipartite((2, 2, 1))
+    g, p = multipartite((2, 2, 1)), Poset.chain_union((2, 2, 1))
     expansions = [expand_schur(g, p, route) for route in ("ww", "tabloid", "tail", "oracle")]
     assert all(e == expansions[0] for e in expansions)
 
 
 def test_closed_route_on_non_closed_graph():
-    claw, _ = multipartite((3, 1))
+    claw = multipartite((3, 1))
     with pytest.raises(BadShapeError):
         coeff_report(claw, None, (2, 2), "closed")
 
 
 def test_positivity_scan():
-    g322, p322 = multipartite((3, 2, 2))
+    g322, p322 = multipartite((3, 2, 2)), Poset.chain_union((3, 2, 2))
     assert positivity_scan(g322, p322).all_nonnegative
-    g33, p33 = multipartite((3, 3))
+    g33, p33 = multipartite((3, 3)), Poset.chain_union((3, 3))
     scan = positivity_scan(g33, p33)
     assert not scan.all_nonnegative
     lam, value = scan.first_negative
     assert lam == (2, 2, 2) and value == -10
-    c4, p4 = multipartite((2, 2))
+    c4, p4 = multipartite((2, 2)), Poset.chain_union((2, 2))
     assert positivity_scan(c4, p4).all_nonnegative
-    claw, pc = multipartite((3, 1))
+    claw, pc = multipartite((3, 1)), Poset.chain_union((3, 1))
     assert positivity_scan(claw, pc).first_negative == (Partition((2, 2)), -1)
 
 
 def test_scan_uses_first_negative_in_reverse_lex_order():
-    g33, p33 = multipartite((3, 3))
+    g33, p33 = multipartite((3, 3)), Poset.chain_union((3, 3))
     scan = positivity_scan(g33, p33)
     seen = []
     for lam in partitions_of(6):
@@ -177,8 +177,8 @@ def test_tail_route_needs_a_poset():
 
 
 WEIGHT_CASES = [
-    ("K_(2,2)", *multipartite((2, 2))),
-    ("claw", *multipartite((3, 1))),
+    ("K_(2,2)", multipartite((2, 2)), Poset.chain_union((2, 2))),
+    ("claw", multipartite((3, 1)), Poset.chain_union((3, 1))),
     ("C5", Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]), None),
     ("n=0", Graph(0, []), None),
 ]
@@ -218,7 +218,7 @@ def test_ww_census_skips_shapes_wider_than_alpha(monkeypatch):
     monkeypatch.setattr(schur, "_peel", spy)
     sparse = Poset(10, [(i, j) for i in range(10) for j in range(i + 4, 10)])
     graphs = [
-        multipartite((4, 4, 2))[0],
+        multipartite((4, 4, 2)),
         incomparability_graph(sparse),
         Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
     ]
@@ -248,7 +248,7 @@ def test_every_route_on_k_lambda_skips_shapes_wider_than_its_largest_side(monkey
 
     monkeypatch.setattr(schur, "_setup_route", spy)
     for sides in [(3, 2, 2), (2, 2, 2), (4, 2, 1), (3, 3, 1)]:
-        graph, poset = multipartite(sides)
+        graph, poset = multipartite(sides), Poset.chain_union(sides)
         bare = Graph(graph.size, graph.edges())
         everything = list(partitions_of(graph.size))
         within = list(partitions_of(graph.size, max_part=max(sides)))
@@ -275,7 +275,7 @@ def test_closed_forms_match_ww_up_to_beta_20():
     # shapes are 0 on both, which the small graphs check shape by shape
     for beta in range(1, 21):
         for sides in ((2,) * beta, (3,) + (2,) * beta):
-            graph, poset = multipartite(sides)
+            graph, poset = multipartite(sides), Poset.chain_union(sides)
             closed = expand_schur(graph, poset, "closed")
             assert closed == expand_schur(graph, poset, "ww"), sides
             if graph.size <= 11:
@@ -284,7 +284,7 @@ def test_closed_forms_match_ww_up_to_beta_20():
 
 
 def test_tail_expansion_builds_the_chain_union_once(monkeypatch):
-    graph, _ = multipartite((3, 2, 2))
+    graph = multipartite((3, 2, 2))
     expected = expand_schur(graph, None, "oracle")
     built = []
     chain_union = Poset.chain_union
@@ -298,9 +298,20 @@ def test_tail_expansion_builds_the_chain_union_once(monkeypatch):
     assert built == [(3, 2, 2)]
 
 
+def test_tabloid_routes_on_k_lambda_need_no_poset():
+    # with no order, tabloid walks the index chain and tail builds the chain union
+    for n in range(1, 8):
+        for lam in partitions_of(n):
+            graph, chains = multipartite(lam), Poset.chain_union(lam)
+            for mu in partitions_of(n):
+                for route in ("tabloid", "tail"):
+                    given = coeff_report(graph, chains, mu, route)
+                    assert coeff_report(graph, None, mu, route) == given, (lam, mu, route)
+
+
 def test_specialization_referee_on_engine_output():
     for lam in [(2, 2), (3, 2), (2, 1, 1)]:
-        graph, poset = multipartite(lam)
+        graph, poset = multipartite(lam), Poset.chain_union(lam)
         func = expand_schur(graph, poset)
         for q in range(5):
             assert specialize_ones(func, q) == coloring_count(graph, q)
@@ -322,14 +333,14 @@ def test_single_column_coefficient_counts_sequences():
 
 
 def test_coeff_report_routes_and_counts():
-    c4, p4 = multipartite((2, 2))
+    c4, p4 = multipartite((2, 2)), Poset.chain_union((2, 2))
     auto = coeff_report(c4, p4, (2, 2))
     assert auto.route == "closed" and auto.value == 2
     tab = coeff_report(c4, p4, (2, 2), "tabloid")
     assert tab.tabloid_counts is not None
     pos, neg = tab.tabloid_counts
     assert pos - neg == tab.value
-    claw, pc = multipartite((3, 1))
+    claw, pc = multipartite((3, 1)), Poset.chain_union((3, 1))
     assert coeff_report(claw, pc, (2, 2)).route == "ww"
 
 

@@ -132,7 +132,7 @@ def test_validate_rejects_bad_tilings():
 def test_checker_rejects_bad_fillings():
     from chromsym import SRHGTabloid, SRHTabloid
 
-    g, p = multipartite((2, 2))
+    g, p = multipartite((2, 2)), Poset.chain_union((2, 2))
     tiling = SRHTabloid(
         (2, 2), [RimHook([(2, 1), (2, 2)]), RimHook([(1, 1), (1, 2)])]
     )
@@ -162,7 +162,7 @@ def test_tabloid_json():
 
 
 def test_g_tabloid_size_and_order_errors():
-    g, p = multipartite((2, 2))
+    g, p = multipartite((2, 2)), Poset.chain_union((2, 2))
     with pytest.raises(SizeMismatchError):
         enumerate_srh_g_tabloids(g, p, (2, 2, 1))
     # edgeless graph with an antichain order: non-adjacent pair is incomparable
@@ -221,7 +221,7 @@ def test_tail_head_split():
     # single row needs a stable increasing 6-chain, which this graph lacks
     assert enumerate_srh_g_tabloids(g, p, (6,)) == []
     # the edgeless graph has one, and its tail is empty
-    edgeless, chain = multipartite((4,))
+    edgeless, chain = multipartite((4,)), Poset.chain_union((4,))
     row = enumerate_srh_g_tabloids(edgeless, chain, (4,))
     assert len(row) == 1
     head, tail = tail_head_split(row[0])
@@ -234,7 +234,7 @@ def test_edgeless_chain_order_single_column():
     from math import factorial
 
     for n in range(1, 6):
-        g, p = multipartite((n,))
+        g, p = multipartite((n,)), Poset.chain_union((n,))
         tabs = enumerate_srh_g_tabloids(g, p, (1,) * n)
 
         def comps(total):
@@ -260,7 +260,7 @@ def test_edgeless_chain_order_single_column():
 
 def test_signed_counts_match_enumeration():
     for lam in [(2, 2), (3, 2), (2, 2, 1)]:
-        g, p = multipartite(lam)
+        g, p = multipartite(lam), Poset.chain_union(lam)
         for mu in partitions_of(g.size):
             tabs = enumerate_srh_g_tabloids(g, p, mu)
             pos = sum(1 for t in tabs if t.sign > 0)
@@ -297,7 +297,7 @@ def test_total_order_fallback():
 
 def test_psi_involution_properties():
     for lam in [(2, 1, 1), (2, 2, 1), (3, 2)]:
-        g, p = multipartite(lam)
+        g, p = multipartite(lam), Poset.chain_union(lam)
         for shape in partitions_of(g.size):
             groups = defaultdict(list)
             for t in enumerate_srh_g_tabloids(g, p, shape):
@@ -320,7 +320,7 @@ def test_psi_involution_properties():
 
 
 def test_psi_merges_singletons_into_a_hook():
-    g, p = multipartite((2, 1))
+    g, p = multipartite((2, 1)), Poset.chain_union((2, 1))
     tabs = enumerate_srh_g_tabloids(g, p, (1, 1, 1))
     # tail sequence (0, 1, ...) ascends at the first step for the 2-chain 0<1
     singletons = [
@@ -339,7 +339,7 @@ def test_psi_merges_singletons_into_a_hook():
 def test_psi_toggles_hooks_that_cross_into_the_head():
     # needs a chain of length >= 4: the hook above the ascent climbs out of
     # the tail, and the toggled vertex joins it by transitivity
-    g, p = multipartite((4, 2))
+    g, p = multipartite((4, 2)), Poset.chain_union((4, 2))
     merges = splits = 0
     for shape in partitions_of(6):
         for t in enumerate_srh_g_tabloids(g, p, shape):
