@@ -9,9 +9,9 @@ the two-sided family (m, m-1) needs m >= 5, and K_(4,3) has no such type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
-from .errors import LengthOneError, PositiveFamilyError
+from .errors import LengthOneError
 from .partitions import Partition, aspartition, dominates, partitions_of
 from .posets import (
     multipartite,
@@ -35,15 +35,15 @@ REASON_TAIL_CASE = "TailCase"
 REASON_BIPARTITE_SMALL = "BipartiteSmall"
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    """Verdict, the case that decided it, and the certificate if negative."""
+class ClassificationReport(
+    namedtuple(
+        "ClassificationReport", "type verdict reason witness verified", defaults=(None, False)
+    )
+):
+    """Verdict on K_type, the case that decided it, the certificate (a
+    dominated type, or None) if negative, and whether it was verified."""
 
-    type: Partition
-    verdict: str
-    reason: str
-    witness: Partition | None = None
-    verified: bool = False
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -104,21 +104,6 @@ def classify(lam) -> ClassificationReport:
     return ClassificationReport(lam, NOT_SCHUR_POSITIVE, reason, witness)
 
 
-def witness_for(lam) -> Partition | None:
-    """A dominated type with no stable partition in K_lam.
-
-    Raises PositiveFamilyError on Schur-positive types. None only for
-    (4, 3), whose graph admits every dominated type.
-    """
-    lam = aspartition(lam)
-    if len(lam) < 2:
-        raise LengthOneError("witnesses need at least two sides")
-    if _positive_reason(lam):
-        raise PositiveFamilyError(f"K_{tuple(lam)} is Schur-positive")
-    _, witness = _negative_case(lam)
-    return witness
-
-
 def _verify_witness(report: ClassificationReport) -> bool:
     lam = report.type
     if report.verdict == NOT_SCHUR_POSITIVE:
@@ -165,5 +150,5 @@ def verify_classification(lam, mode: str = "witness") -> ClassificationReport:
         raise ValueError(f"mode must be 'witness' or 'full_scan', got {mode!r}")
     report = classify(lam)
     if mode == "witness":
-        return replace(report, verified=_verify_witness(report))
-    return replace(report, verified=_verify_scan(report))
+        return report._replace(verified=_verify_witness(report))
+    return report._replace(verified=_verify_scan(report))

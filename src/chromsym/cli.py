@@ -17,7 +17,8 @@ The size budget lives here and nowhere else: library functions compute what
 they are asked, and every command that does exhaustive work checks its size
 against ``--max-vertices`` once, before that work starts. A graph source is
 checked on the size it declares, before any graph, poset or side of that
-size is built; ``oracle-check`` checks ``--max-n``.
+size is built; ``oracle-check`` checks ``--max-n``. ``nsp`` counts in
+polynomial time and takes no budget.
 """
 
 from __future__ import annotations
@@ -283,7 +284,7 @@ COMMANDS = {
     "nsp": (
         _cmd_nsp,
         "spanning non-increasing sequence count of K_lambda",
-        {"--lambda": str, "--format": ("json",), **COMMON_FLAGS},
+        {"--lambda": str, "--format": ("json",), "--output": str},
         ("--lambda",),
     ),
     "oracle-check": (
@@ -387,10 +388,11 @@ def _parse_args(argv: list[str]) -> SimpleNamespace:
     for flag in required:
         if values[flag] is None:
             raise UsageError(f"{flag} is required")
-    if values["--max-vertices"] is None:
-        values["--max-vertices"] = _default_max_vertices()
-    if values["--max-vertices"] < 1:
-        raise UsageError(f"--max-vertices must be positive, got {values['--max-vertices']}")
+    if "--max-vertices" in kinds:
+        if values["--max-vertices"] is None:
+            values["--max-vertices"] = _default_max_vertices()
+        if values["--max-vertices"] < 1:
+            raise UsageError(f"--max-vertices must be positive, got {values['--max-vertices']}")
     sources = [(flag, values[flag]) for flag in GRAPH_FLAGS if values.get(flag) is not None]
     if len(sources) > 1:
         raise UsageError(ONE_SOURCE)

@@ -6,7 +6,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from itertools import zip_longest
 
-from .errors import EmptyPartitionError, UnequalWeightError
+from .errors import UnequalWeightError
 
 
 class Partition(tuple):
@@ -100,11 +100,6 @@ def aspartition(parts) -> Partition:
     return Partition(parts)
 
 
-def sort_to_partition(kappa) -> Partition:
-    """Rearrange the parts of a composition into weakly decreasing order."""
-    return Partition(sorted(kappa, reverse=True))
-
-
 def dominates(lam, mu) -> bool:
     """True iff every prefix sum of `lam` is >= the matching prefix sum of `mu`.
 
@@ -123,14 +118,6 @@ def dominates(lam, mu) -> bool:
         if ahead < 0:
             return False
     return True
-
-
-def is_balanced(lam) -> bool:
-    """True iff the largest part exceeds the smallest by at most one."""
-    lam = aspartition(lam)
-    if not lam:
-        raise EmptyPartitionError("balancedness is undefined for the empty partition")
-    return lam[0] <= lam[-1] + 1
 
 
 def partitions_of(

@@ -17,7 +17,7 @@ from math import factorial
 
 from ._util import iter_bits, json_array, json_fields, json_int, json_ints
 from .errors import CycleError, EmptyPartitionError
-from .partitions import Partition, aspartition, partitions_of, dominates
+from .partitions import Partition, aspartition, partitions_of
 
 
 def _check_size(size: int):
@@ -241,71 +241,6 @@ def multipartite(lam) -> Graph:
     return Graph(lam.n, sides=lam)
 
 
-def _stable_extensions(adj, allowed_mask, base_vertex, size):
-    """Yield bitmasks of stable sets of `size` inside allowed_mask containing base_vertex."""
-
-    def rec(mask, candidates, left):
-        if left == 0:
-            yield mask
-            return
-        cand = candidates
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            yield from rec(mask | low, cand & ~adj[v], left - 1)
-
-    start = 1 << base_vertex
-    candidates = allowed_mask & ~adj[base_vertex] & ~((start << 1) - 1)
-    yield from rec(start, candidates, size - 1)
-
-
-def stable_sets(graph: Graph, size: int):
-    """Yield every stable set of exactly `size` vertices once, as a frozenset."""
-    if size < 0:
-        raise ValueError("size must be nonnegative")
-    if size == 0:
-        yield frozenset()
-        return
-    full = (1 << graph.size) - 1
-    adj = graph._adj
-    for v in range(graph.size):
-        for mask in _stable_extensions(adj, full, v, size):
-            yield frozenset(iter_bits(mask))
-
-
-def _partition_blocks(graph: Graph, mu: Partition):
-    """Backtracking over blocks; the block of the lowest uncovered vertex first.
-
-    Yields tuples of block bitmasks, one tuple per unordered partition.
-    """
-    adj = graph._adj
-    remaining = Counter(mu)
-
-    def rec(uncovered, acc):
-        if uncovered == 0:
-            yield tuple(acc)
-            return
-        v = (uncovered & -uncovered).bit_length() - 1
-        for s in sorted((s for s, c in remaining.items() if c), reverse=True):
-            remaining[s] -= 1
-            for mask in _stable_extensions(adj, uncovered, v, s):
-                acc.append(mask)
-                yield from rec(uncovered & ~mask, acc)
-                acc.pop()
-            remaining[s] += 1
-
-    yield from rec((1 << graph.size) - 1, [])
-
-
-def stable_partition_count_backtracking(graph: Graph, mu) -> int:
-    """Count unordered stable partitions of type `mu` by direct backtracking."""
-    mu = aspartition(mu)
-    if mu.n != graph.size:
-        return 0
-    return sum(1 for _ in _partition_blocks(graph, mu))
-
-
 def _block_split_ways(size: int, block_sizes: tuple[int, ...]) -> int:
     """Number of set partitions of a `size`-set into blocks of the given sizes."""
     ways = _multiplicity_factorials(block_sizes)
@@ -521,22 +456,3 @@ def has_stable_partition(graph: Graph, mu) -> bool:
     if graph.sides is not None:
         return multipartite_has_stable_partition(graph.sides, mu)
     return mu in _count_table(graph)
-
-
-def niceness_violation(graph: Graph, lam_present, max_length=None) -> Partition | None:
-    """First dominated type (reverse-lexicographic) with no stable partition.
-
-    `lam_present` must be the type of some stable partition the graph has.
-    A returned type certifies, by contraposition, that the graph is not
-    Schur-positive. None means every dominated type is achievable, optionally
-    only checking types of length at most `max_length`.
-    """
-    lam_present = aspartition(lam_present)
-    if not has_stable_partition(graph, lam_present):
-        raise ValueError(f"graph has no stable partition of type {lam_present!r}")
-    for mu in partitions_of(lam_present.n, max_length=max_length):
-        if not dominates(lam_present, mu):
-            continue
-        if not has_stable_partition(graph, mu):
-            return mu
-    return None

@@ -29,7 +29,7 @@ part over alpha (Stanley).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import perm
 
 from .errors import BadShapeError, OrderIncompatibleError
@@ -43,14 +43,11 @@ from .tabloids import _content_code, _peel, signed_g_tabloid_counts
 ROUTES = ("auto", "ww", "tabloid", "tail", "closed", "oracle")
 
 
-@dataclass(frozen=True)
-class CoeffReport:
-    """One Schur coefficient with the route that produced it."""
+class CoeffReport(namedtuple("CoeffReport", "shape value route tabloid_counts", defaults=(None,))):
+    """One Schur coefficient: its shape, value and route, and the (positive,
+    negative) tabloid counts where the route enumerates tabloids."""
 
-    shape: Partition
-    value: int
-    route: str
-    tabloid_counts: tuple[int, int] | None = None
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -61,12 +58,11 @@ class CoeffReport:
         }
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    """Outcome of a full positivity scan."""
+class ScanResult(namedtuple("ScanResult", "all_nonnegative first_negative", defaults=(None,))):
+    """Outcome of a full positivity scan: whether every coefficient is
+    nonnegative and, if not, the first negative (shape, coefficient)."""
 
-    all_nonnegative: bool
-    first_negative: tuple[Partition, int] | None = None
+    __slots__ = ()
 
 
 def coeff_closed_2beta(beta: int, c: int, d: int) -> int:

@@ -12,17 +12,8 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from .oracle import (
-    KostkaMatrix,
-    coloring_count,
-    enumerate_ssyt,
-    kostka,
-    monomial_to_schur,
-    schur_to_monomial,
-    specialize_ones,
-    x_in_monomial,
-)
-from .partitions import dominates, partitions_of, sort_to_partition
+from .oracle import kostka, monomial_to_schur, x_in_monomial
+from .partitions import dominates, partitions_of
 from .posets import (
     Graph,
     Poset,
@@ -31,10 +22,19 @@ from .posets import (
     incomparability_graph,
     multipartite,
     stable_partition_count,
+)
+from .reference import (
+    KostkaMatrix,
+    coloring_count,
+    enumerate_ssyt,
+    nsp_bruteforce,
+    schur_to_monomial,
+    sort_to_partition,
+    specialize_ones,
     stable_partition_count_backtracking,
 )
 from .schur import coeff_report, expand_schur
-from .sequences import nsp_bruteforce, nsp_chain_union
+from .sequences import nsp_chain_union
 from .symfunc import SymFunc
 from .tabloids import _content_parts, _peel, enumerate_srh_tabloids
 

@@ -15,40 +15,6 @@ from __future__ import annotations
 from functools import cache
 from math import factorial
 
-from .posets import Poset
-
-
-def is_nonincreasing(seq, poset: Poset) -> bool:
-    """True iff no consecutive pair of the sequence ascends in the poset."""
-    seq = tuple(seq)
-    return all(not poset.leq(u, v) for u, v in zip(seq, seq[1:]))
-
-
-def nsp_bruteforce(poset: Poset) -> int:
-    """Count spanning non-increasing sequences by dynamic programming
-    over (visited set, last vertex) states; exact for any poset.
-    """
-    n = poset.size
-    if n == 0:
-        return 1
-    full = (1 << n) - 1
-    # allowed_next[v] = vertices w with v <= w false
-    allowed_next = tuple(full & ~poset.above_mask(v) for v in range(n))
-
-    @cache
-    def walk(visited: int, last: int) -> int:
-        if visited == full:
-            return 1
-        total = 0
-        todo = allowed_next[last] & ~visited
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            total += walk(visited | low, low.bit_length() - 1)
-        return total
-
-    return sum(walk(1 << v, v) for v in range(n))
-
 
 @cache
 def _signed_stirling_row(length: int) -> tuple[int, ...]:

@@ -15,10 +15,9 @@ chosen vertex order.
 from __future__ import annotations
 
 from functools import cache
-from types import MappingProxyType
 
 from ._util import iter_bits
-from .errors import CapExceededError, NoAscentError, OrderIncompatibleError, SizeMismatchError
+from .errors import CapExceededError, OrderIncompatibleError, SizeMismatchError
 from .partitions import Composition, Diagram, Partition, aspartition
 from .posets import Graph, Poset
 
@@ -130,47 +129,6 @@ class SRHTabloid:
         return f"SRHTabloid(shape={self.shape!r}, content={list(self.content)})"
 
 
-class SRHGTabloid:
-    """A special rim hook tabloid filled bijectively with graph vertices."""
-
-    __slots__ = ("tabloid", "filling")
-
-    def __init__(self, tabloid: SRHTabloid, filling: dict):
-        self.tabloid = tabloid
-        self.filling = dict(filling)
-
-    @property
-    def shape(self) -> Partition:
-        return self.tabloid.shape
-
-    @property
-    def sign(self) -> int:
-        return self.tabloid.sign
-
-    def tail_sequence(self) -> tuple:
-        """Vertices of the length-1 rows, read from the bottom row up."""
-        shape = self.tabloid.shape
-        rows = [r for r in range(len(shape), 0, -1) if shape[r - 1] == 1]
-        return tuple(self.filling[(r, 1)] for r in rows)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, SRHGTabloid):
-            return self.tabloid == other.tabloid and self.filling == other.filling
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(
-            (
-                self.tabloid.shape,
-                frozenset(h.cells for h in self.tabloid.hooks),
-                tuple(sorted(self.filling.items())),
-            )
-        )
-
-    def __repr__(self) -> str:
-        return f"SRHGTabloid({self.tabloid!r}, filling={self.filling})"
-
-
 @cache
 def _tilings(shape: tuple[int, ...]) -> tuple:
     """All special rim hook tilings of `shape`, each as hook cell paths.
@@ -259,25 +217,6 @@ def _peel(shape: tuple[int, ...], cap: int) -> dict:
     return {code: sign for code, sign in out.items() if sign}
 
 
-def signed_content_census(lam) -> MappingProxyType:
-    """{type: sum of signs} over the special rim hook tabloids of shape `lam`,
-    grouped by sorted content; types whose signs cancel are left out.
-
-    By Egecioglu-Remmel this is the column `lam` of the inverse Kostka
-    matrix. Decoded from the memoized peeling of the bottom hook
-    (:func:`_peel` with no hook bound); its types are plain part tuples.
-    """
-    lam = aspartition(lam)
-    return MappingProxyType(
-        {_content_parts(code): sign for code, sign in _peel(lam, lam.n).items()}
-    )
-
-
-def count_srh_tabloids(lam) -> int:
-    """Number of special rim hook tabloids of the given shape."""
-    return len(_tilings(aspartition(lam)))
-
-
 def enumerate_srh_tabloids(lam) -> list[SRHTabloid]:
     """All special rim hook tabloids of shape `lam`, each exactly once."""
     lam = aspartition(lam)
@@ -363,25 +302,6 @@ def _shape_and_order(graph: Graph, order, lam) -> tuple[Partition, Poset]:
     return lam, order
 
 
-def enumerate_srh_g_tabloids(
-    graph: Graph, order, lam, tail_filter: bool = False
-) -> list[SRHGTabloid]:
-    """All filled tabloids of shape `lam` for the graph under the given order.
-
-    `order` is a Poset on the vertices, or None for the index total order.
-    With tail_filter=True only tabloids whose tail sequence is non-increasing
-    are produced.
-    """
-    lam, order = _shape_and_order(graph, order, lam)
-    out = []
-    for tiling in _tilings(lam):
-        flat = [cell for cells in tiling for cell in cells]
-        tabloid = SRHTabloid(lam, tuple(RimHook(cells) for cells in tiling))
-        for assignment in _fillings(graph, order, lam, tiling, tail_filter):
-            out.append(SRHGTabloid(tabloid, dict(zip(flat, assignment))))
-    return out
-
-
 def signed_g_tabloid_counts(
     graph: Graph, order, lam, tail_filter: bool = False
 ) -> tuple[int, int]:
@@ -401,82 +321,6 @@ def signed_g_tabloid_counts(
         else:
             pos += count
     return pos, neg
-
-
-def check_srh_g_tabloid(tabloid: SRHGTabloid, graph: Graph, order) -> None:
-    """Independent validity check for a filled tabloid; raises on any defect."""
-    order = _resolve_order(order, graph.size)
-    tabloid.tabloid.validate()
-    values = list(tabloid.filling.values())
-    cells = {cell for h in tabloid.tabloid.hooks for cell in h.cells}
-    if set(tabloid.filling) != cells or sorted(values) != list(range(graph.size)):
-        raise ValueError("filling is not a bijection between cells and vertices")
-    for hook in tabloid.tabloid.hooks:
-        vs = [tabloid.filling[cell] for cell in hook.cells]
-        for i, u in enumerate(vs):
-            for v in vs[i + 1 :]:
-                if graph.adjacent(u, v):
-                    raise ValueError(f"hook vertices {u} and {v} are adjacent")
-        for u, v in zip(vs, vs[1:]):
-            if not (order.leq(u, v) and u != v):
-                raise ValueError(f"hook vertices {u}, {v} do not increase in the order")
-
-
-def tail_head_split(tabloid: SRHGTabloid) -> tuple[dict, tuple]:
-    """Split a filled tabloid into its head cells and its tail sequence.
-
-    The tail collects the length-1 rows bottom to top; the head is the
-    cell-to-vertex map of all longer rows.
-    """
-    shape = tabloid.tabloid.shape
-    head = {
-        (r, c): v for (r, c), v in tabloid.filling.items() if shape[r - 1] > 1
-    }
-    return head, tabloid.tail_sequence()
-
-
-def _hook_with_cell(tabloid: SRHTabloid, cell):
-    for i, hook in enumerate(tabloid.hooks):
-        if cell in hook.cells:
-            return i, hook
-    raise ValueError(f"no hook contains {cell}")
-
-
-def psi_involution(tabloid: SRHGTabloid, poset: Poset) -> SRHGTabloid:
-    """Toggle the N-step at the first ascent of the tail sequence.
-
-    For the minimal j with v_j <= v_{j+1} in the tail, the step between their
-    cells is removed if the two vertices share a hook and inserted otherwise.
-    The result has the same shape, filling, and tail sequence, and opposite
-    sign; applying the map twice returns the input. Undefined (NoAscentError)
-    when the tail sequence is non-increasing.
-    """
-    ts = tabloid.tail_sequence()
-    j = next(
-        (i for i, (u, v) in enumerate(zip(ts, ts[1:])) if poset.leq(u, v)), None
-    )
-    if j is None:
-        raise NoAscentError("tail sequence has no ascent")
-    ell = len(tabloid.tabloid.shape)
-    lower_cell = (ell - j, 1)
-    upper_cell = (ell - j - 1, 1)
-    i_low, hook_low = _hook_with_cell(tabloid.tabloid, lower_cell)
-    i_up, hook_up = _hook_with_cell(tabloid.tabloid, upper_cell)
-    hooks = list(tabloid.tabloid.hooks)
-    if i_low == i_up:
-        pos = hook_low.cells.index(lower_cell)
-        hooks[i_low : i_low + 1] = [
-            RimHook(hook_low.cells[: pos + 1]),
-            RimHook(hook_low.cells[pos + 1 :]),
-        ]
-    else:
-        if hook_low.cells[-1] != lower_cell or hook_up.cells[0] != upper_cell:
-            raise ValueError("hooks at the ascent cannot be joined by an N-step")
-        merged = RimHook(hook_low.cells + hook_up.cells)
-        hooks = [h for k, h in enumerate(hooks) if k not in (i_low, i_up)]
-        hooks.append(merged)
-    hooks.sort(key=lambda h: -h.cells[0][0])
-    return SRHGTabloid(SRHTabloid(tabloid.tabloid.shape, hooks), tabloid.filling)
 
 
 def render_ascii(tabloid: SRHTabloid) -> str:

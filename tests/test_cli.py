@@ -411,6 +411,10 @@ def test_nsp(capsys):
     assert out == "58215641824462047457894859941480189937616591780720\n"
     code, out, _ = run(capsys, "nsp", "--lambda", "1000")
     assert code == 0 and out == "1\n"
+    # nsp counts in polynomial time and takes no size budget
+    code, out, err = run(capsys, "nsp", "--lambda", "20", "--max-vertices", "5")
+    assert (code, out) == (2, "")
+    assert err == "chromsym: error: nsp: unknown flag '--max-vertices'\n"
 
 
 def test_output_file(capsys, tmp_path):
@@ -509,6 +513,41 @@ def test_nsp_loads_neither_argparse_nor_the_battery():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "1\n0 []\n"
+
+
+def test_commands_load_neither_the_referees_nor_dataclasses():
+    # a fresh interpreter, since pytest has loaded dataclasses and inspect
+    script = (
+        "import io, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "from chromsym import cli\n"
+        "routes = ('auto', 'ww', 'tabloid', 'tail', 'closed', 'oracle')\n"
+        "runs = [['expand', '--multipartite', '3,2', '--route', r] for r in routes]\n"
+        "runs += [['classify', '--lambda', '3,3', '--verify', 'full'],\n"
+        "         ['tabloids', '--shape', '3,2'], ['nsp', '--lambda', '3,2']]\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(argv) for argv in runs]\n"
+        "names = ('chromsym.reference', 'chromsym.selfcheck', 'dataclasses', 'inspect')\n"
+        "print(codes, [m for m in names if m in sys.modules])\n"
+        "import chromsym\n"
+        "from chromsym import enumerate_ssyt, psi_involution, stable_sets\n"
+        "print(enumerate_ssyt.__module__, psi_involution.__module__, stable_sets.__module__)\n"
+        "try:\n"
+        "    chromsym.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(chromsym.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (
+        "[0, 0, 0, 0, 0, 0, 0, 0, 0] []\n"
+        "chromsym.reference chromsym.reference chromsym.reference\n"
+        "module 'chromsym' has no attribute 'no_such_name'\n"
+    )
 
 
 def test_benchmark_trace_targets_exist_after_importing_the_cli():
@@ -642,13 +681,13 @@ def test_auto_expansion_is_byte_identical_to_tail(capsys, tmp_path, flag, value)
 
 
 def test_expand_sparse_order_of_14_by_sweep_and_peeling(capsys, monkeypatch, tmp_path):
-    from chromsym import posets, tabloids
+    from chromsym import reference, tabloids
 
     def refuse(*args):
         raise AssertionError("backtracked or listed tilings")
 
-    monkeypatch.setattr(posets, "stable_partition_count_backtracking", refuse)
-    monkeypatch.setattr(posets, "_partition_blocks", refuse)
+    monkeypatch.setattr(reference, "stable_partition_count_backtracking", refuse)
+    monkeypatch.setattr(reference, "_partition_blocks", refuse)
     monkeypatch.setattr(tabloids, "_tilings", refuse)
     path = tmp_path / "p.json"
     # i < j iff j - i >= 3

@@ -1,3 +1,7 @@
+import ast
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 
@@ -23,7 +27,7 @@ from chromsym import (
 from chromsym import Graph, stable_sets
 import chromsym.schur as schur
 from chromsym.schur import ROUTES, CoeffReport
-from test_posets import general_graphs, unit_interval_orders
+from test_posets import general_graphs, relabelled_posets, unit_interval_orders
 
 
 def test_coeff_ww_values():
@@ -370,3 +374,88 @@ def test_routes_agree_on_random_unit_interval_orders(poset):
         assert stable_partition_count(graph, mu) == stable_partition_count_backtracking(
             fresh, mu
         )
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabelled_posets())
+@example(Poset(0, []))
+@example(Poset(4, [(0, 1), (1, 2)]))  # 3+1: the claw, with a negative coefficient
+@example(Poset(4, [(0, 1), (2, 3)]))  # 2+2
+def test_routes_agree_on_random_relabelled_posets(poset):
+    # most of these are no natural unit interval order as labelled, so ww and
+    # oracle read a table filled by the sweep, which tabloid and tail never read
+    graph = incomparability_graph(poset)
+    expansions = [
+        expand_schur(graph, poset, route) for route in ("ww", "oracle", "tabloid", "tail")
+    ]
+    assert all(e == expansions[0] for e in expansions)
+
+
+def test_tabloid_and_tail_on_k_lambda_read_neither_the_table_nor_the_census(monkeypatch):
+    # their agreement with ww and oracle checks the count table and the
+    # census only while they read neither
+    expected = {
+        lam: expand_schur(multipartite(lam), route="ww")
+        for n in range(1, 8)
+        for lam in partitions_of(n)
+    }
+
+    def refuse(*args):
+        raise AssertionError("an enumerating route read the count table or the census")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("chromsym."):
+            for helper in ("_count_table", "_peel"):
+                if hasattr(module, helper):
+                    monkeypatch.setattr(module, helper, refuse)
+    for lam, ww in expected.items():
+        for route in ("tabloid", "tail"):
+            assert expand_schur(multipartite(lam), route=route) == ww, (lam, route)
+
+
+def _imports_the_referees(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name == "chromsym.reference" for alias in node.names)
+    if not isinstance(node, ast.ImportFrom):
+        return False
+    module = node.module or ""
+    if node.level == 0:
+        if module == "chromsym.reference":
+            return True
+        if module != "chromsym":
+            return False
+    elif module:
+        return module == "reference"
+    return any(alias.name == "reference" for alias in node.names)
+
+
+def test_only_selfcheck_imports_the_referees():
+    # a route that reached into the referees would check itself; the
+    # package's lazy __getattr__ is the one other place that loads them
+    found = []
+    for path in sorted(Path(schur.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lazy = {
+            id(node)
+            for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__getattr__"
+            for node in ast.walk(fn)
+        }
+        found += [
+            (path.stem, id(node) in lazy) for node in ast.walk(tree) if _imports_the_referees(node)
+        ]
+    assert ("selfcheck", False) in found
+    assert {entry for entry in found} <= {("selfcheck", False), ("__init__", True)}
+
+
+def test_the_package_resolves_every_public_referee():
+    import chromsym
+    import chromsym.reference as reference
+
+    public = {
+        name
+        for name, obj in vars(reference).items()
+        if not name.startswith("_") and getattr(obj, "__module__", None) == reference.__name__
+    }
+    assert public == chromsym._REFERENCE
+
