@@ -235,6 +235,8 @@ def _cmd_nsp(args) -> int:
 def _cmd_oracle_check(args) -> int:
     from .selfcheck import CHECKS
 
+    if args.max_n < 0:
+        raise UsageError(f"--max-n must be nonnegative, got {args.max_n}")
     _check_size(args.max_n, args)
     failures = 0
     lines = []

@@ -74,11 +74,6 @@ class Poset:
         self._above = tuple(above)
 
     @classmethod
-    def chain(cls, n: int, labels=None) -> "Poset":
-        """The total order 0 < 1 < ... < n-1."""
-        return cls(n, [(i, i + 1) for i in range(n - 1)], labels)
-
-    @classmethod
     def chain_union(cls, lengths) -> "Poset":
         """Disjoint chains of the given lengths, numbered consecutively.
 
@@ -155,14 +150,11 @@ class Graph:
 
     ``sides``, given instead of edges, is a partition of ``size``: the side
     sizes of a complete multipartite graph, in vertex order, side i taking the
-    next sides[i] vertices. ``reach`` is set only by
-    :func:`incomparability_graph`, for a natural unit interval order. Each
-    unlocks a fast path for ``_counts``, the graph's count table: X_G's
-    monomial coefficients, zeros left out, filled at the first read (see
-    :func:`_count_table`).
+    next sides[i] vertices. ``_counts`` is the count table, X_G's monomial
+    coefficients without zeros, filled at the first read (:func:`_count_table`).
     """
 
-    __slots__ = ("size", "_adj", "sides", "reach", "_counts")
+    __slots__ = ("size", "_adj", "sides", "_counts")
 
     def __init__(self, size, edges=(), sides=None):
         _check_size(size)
@@ -190,7 +182,6 @@ class Graph:
         self.size = size
         self._adj = tuple(adj)
         self.sides = sides
-        self.reach = None
         self._counts = {}
 
     def adjacent(self, u: int, v: int) -> bool:
@@ -217,18 +208,10 @@ class Graph:
 
 
 def incomparability_graph(poset: Poset) -> Graph:
-    """Graph on the poset elements with edges between incomparable pairs. Its
-    ``reach`` is set when x < y iff y > reach[x], reach weakly increasing."""
+    """Graph on the poset elements with edges between incomparable pairs."""
     n = poset.size
     edges = [(x, y) for x in range(n) for y in range(x + 1, n) if not poset.comparable(x, y)]
-    graph = Graph(n, edges)
-    reach = [n - 1 - poset.strictly_above_mask(x).bit_count() for x in range(n)]
-    # x is not above itself, so reach[x] >= x
-    if reach == sorted(reach) and all(
-        poset.strictly_above_mask(x) == (1 << n) - (2 << r) for x, r in enumerate(reach)
-    ):
-        graph.reach = tuple(reach)
-    return graph
+    return Graph(n, edges)
 
 
 def multipartite(lam) -> Graph:
@@ -404,22 +387,35 @@ def _chain_counts(reach) -> dict:
     return _semi_ordered(table)
 
 
+def _natural_reach(graph: Graph):
+    """The reach of `graph` as inc(P), P the natural unit interval order where
+    x < y iff y > reach[x] (transitive as reach weakly increases), or None:
+    the neighbours above each x must be exactly x+1..reach[x]."""
+    reach = []
+    for x, adj in enumerate(graph._adj):
+        up = adj >> (x + 1)
+        r = x + up.bit_length()
+        if up & (up + 1) or (reach and r < reach[-1]):
+            return None
+        reach.append(r)
+    return tuple(reach)
+
+
 def _count_table(graph: Graph) -> dict:
     """The graph's whole count table, filled at the first read.
 
     It maps each type the graph has to its semi-ordered stable-partition
     count, the coefficient of m_type in X_G. A multipartite graph fills it by
-    :func:`_side_product_counts`, a graph with a ``reach`` by
+    :func:`_side_product_counts`, a graph with a :func:`_natural_reach` by
     :func:`_chain_counts`, any other graph by one :func:`_sweep_counts`.
     """
     table = graph._counts
     if not table:
         if graph.sides is not None:
             table = _side_product_counts(graph.sides)
-        elif graph.reach is not None:
-            table = _chain_counts(graph.reach)
         else:
-            table = _sweep_counts(graph)
+            reach = _natural_reach(graph)
+            table = _sweep_counts(graph) if reach is None else _chain_counts(reach)
         # another thread may fill too; both publish the same whole table
         graph._counts.update(table)
     return table

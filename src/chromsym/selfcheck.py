@@ -18,6 +18,7 @@ from .posets import (
     Graph,
     Poset,
     _count_table,
+    _natural_reach,
     _sweep_counts,
     incomparability_graph,
     multipartite,
@@ -161,7 +162,7 @@ def chain_counts_match_sweep(max_n: int) -> bool:
             if all(r >= x for x, r in enumerate(reach)):
                 poset = Poset(n, [(x, y) for x, r in enumerate(reach) for y in range(r + 1, n)])
                 graph = incomparability_graph(poset)
-                if graph.reach != reach or _count_table(graph) != _sweep_counts(graph):
+                if _natural_reach(graph) != reach or _count_table(graph) != _sweep_counts(graph):
                     return False
     return True
 

@@ -228,7 +228,7 @@ def enumerate_srh_tabloids(lam) -> list[SRHTabloid]:
 
 def _resolve_order(order, n: int) -> Poset:
     if order is None:
-        return Poset.chain(n)
+        return Poset.chain_union((n,))
     if not isinstance(order, Poset):
         raise TypeError("order must be a Poset or None for the index total order")
     if order.size != n:

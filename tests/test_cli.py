@@ -349,6 +349,22 @@ def test_oracle_check_max_n_is_bounded_by_max_vertices(capsys, monkeypatch):
     assert err == "chromsym: error: size 13 is above --max-vertices 12\n"
 
 
+def test_oracle_check_refuses_a_negative_max_n(capsys, monkeypatch):
+    from chromsym import selfcheck
+
+    def refuse(max_n):
+        raise AssertionError("a check ran on a negative --max-n")
+
+    monkeypatch.setattr(selfcheck, "CHECKS", (("refuse", refuse),))
+    for argv in (["--max-n", "-1"], ["--max-n", "-5", "--max-vertices", "1"]):
+        code, out, err = run(capsys, "oracle-check", *argv)
+        assert code == 2 and out == ""
+        assert err == f"chromsym: error: --max-n must be nonnegative, got {argv[1]}\n"
+    monkeypatch.setattr(selfcheck, "CHECKS", (("zero", lambda max_n: max_n == 0),))
+    code, out, err = run(capsys, "oracle-check", "--max-n", "0")
+    assert code == 0 and out == "ok    zero\n" and err == ""
+
+
 def test_witness_mode_is_not_bound_by_the_bitmask(capsys):
     # certificates are checked on the sides, so no graph of the type is built
     code, out, _ = run(capsys, "verify", "--mode", "witness", "--lambda", "40,40")
@@ -600,8 +616,9 @@ def test_malformed_graph_json_is_a_usage_error(capsys, monkeypatch, document, me
         ("--graph-json", '{"multipartite":[2.5]}', "multipartite entry must be an integer"),
         ("--graph-json", '{"n":true,"edges":[]}', "n must be an integer"),
         ("--poset-json", '{"n":3,"edges":[[0,1]]}', 'unknown key "edges"'),
+        ("--graph-json", '{"edges":[]}', 'missing key "n"'),
     ],
-    ids=["fractional-side", "boolean-n", "poset-with-edges"],
+    ids=["fractional-side", "boolean-n", "poset-with-edges", "graph-without-n"],
 )
 def test_non_integer_numbers_and_unknown_keys_are_usage_errors(
     capsys, monkeypatch, flag, document, message
@@ -696,6 +713,34 @@ def test_expand_sparse_order_of_14_by_sweep_and_peeling(capsys, monkeypatch, tmp
     auto = run(capsys, *argv)
     assert auto[0] == 0 and auto[2] == ""
     assert run(capsys, *argv, "--route", "oracle") == auto
+
+
+def test_natural_order_as_a_graph_or_reversed_counts_by_chains(capsys, monkeypatch, tmp_path):
+    from chromsym import posets
+
+    def refuse(graph):
+        raise AssertionError("swept a natural unit interval order")
+
+    monkeypatch.setattr(posets, "_sweep_counts", refuse)
+    reach = [min(i + 2, 9) for i in range(10)]  # i < j iff j - i >= 3
+    order = unit_interval_order(reach)
+    edges = [[i, j] for i in range(10) for j in range(i + 1, reach[i] + 1)]
+    # the same elements with every relation turned round: up-sets become
+    # down-sets, the graph is unchanged
+    reversed_covers = [[j, i] for i, j in order["covers"]]
+    documents = {
+        "natural": ("--poset-json", order),
+        "graph": ("--graph-json", {"n": 10, "edges": edges}),
+        "reversed": ("--poset-json", {"n": 10, "covers": reversed_covers}),
+    }
+    coeffs = {}
+    for name, (flag, document) in documents.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run(capsys, "expand", flag, str(path), "--route", "ww")
+        assert code == 0 and err == ""
+        coeffs[name] = json.loads(out)["coeffs"]
+    assert coeffs["natural"] and coeffs["graph"] == coeffs["natural"] == coeffs["reversed"]
 
 
 # Fuzz of the whole command line: flags in --flag=value and --flag value form,

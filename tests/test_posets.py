@@ -59,7 +59,7 @@ def test_poset_antichain_and_chain():
     assert incomparability_graph(antichain).edges() == [
         (u, v) for u in range(4) for v in range(u + 1, 4)
     ]
-    chain = Poset.chain(3)
+    chain = Poset.chain_union((3,))
     assert incomparability_graph(chain).edges() == []
 
 
@@ -371,7 +371,7 @@ def test_chain_counts_match_the_sweep_on_every_natural_order_up_to_eight():
         assert len(reaches) == catalan[n]
         for reach in reaches:
             graph = incomparability_graph(natural_order(reach))
-            assert graph.reach == reach
+            assert posets._natural_reach(graph) == reach
             assert posets._chain_counts(reach) == posets._sweep_counts(graph), reach
     # no elements, one chain, one antichain
     assert posets._chain_counts(()) == {(): 1}
@@ -382,19 +382,37 @@ def test_chain_counts_match_the_sweep_on_every_natural_order_up_to_eight():
         (2, 1, 1): 12,
         (1, 1, 1, 1): 24,
     }
-    chain = incomparability_graph(Poset.chain(5))
-    assert chain.reach == (0, 1, 2, 3, 4)
-    assert posets._chain_counts(chain.reach) == posets._sweep_counts(chain)
+    chain = incomparability_graph(Poset.chain_union((5,)))
+    assert posets._natural_reach(chain) == (0, 1, 2, 3, 4)
+    assert posets._chain_counts((0, 1, 2, 3, 4)) == posets._sweep_counts(chain)
     antichain = incomparability_graph(Poset(5, []))
-    assert antichain.reach == (4,) * 5
-    assert posets._chain_counts(antichain.reach) == {(1, 1, 1, 1, 1): 120}
+    assert posets._natural_reach(antichain) == (4,) * 5
+    assert posets._chain_counts((4,) * 5) == {(1, 1, 1, 1, 1): 120}
+
+
+def test_natural_reach_accepts_exactly_the_natural_orders_up_to_five():
+    # every labelled graph on n <= 5 vertices, 1,024 of them at n = 5
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        accepted = []
+        for chosen in range(1 << len(pairs)):
+            graph = Graph(n, [e for i, e in enumerate(pairs) if (chosen >> i) & 1])
+            reach = posets._natural_reach(graph)
+            if reach is not None:
+                accepted.append((reach, graph.edges()))
+                assert posets._chain_counts(reach) == posets._sweep_counts(graph), reach
+        natural = [
+            (reach, incomparability_graph(natural_order(reach)).edges())
+            for reach in natural_reaches(n)
+        ]
+        assert sorted(accepted) == sorted(natural)
 
 
 @settings(max_examples=60, deadline=None)
 @given(unit_interval_orders(max_n=12))
 def test_chain_counts_match_the_sweep_on_random_natural_orders(poset):
     graph = incomparability_graph(poset)
-    assert graph.reach is not None
+    assert posets._natural_reach(graph) is not None
     assert posets._count_table(graph) == posets._sweep_counts(Graph(graph.size, graph.edges()))
 
 
@@ -413,23 +431,26 @@ def test_natural_orders_count_by_chains_and_never_sweep(monkeypatch):
 
     monkeypatch.setattr(posets, "_sweep_counts", recording_sweep)
     order = natural_order((2, 3, 4, 5, 5, 5))
-    natural = incomparability_graph(order)
-    assert natural.reach == (2, 3, 4, 5, 5, 5)
-    expected = semi_ordered_by_backtracking(Graph(6, natural.edges()))
-    assert stable_partition_count(natural, (2, 2, 2)) == expected[(2, 2, 2)] // 6
-    assert has_stable_partition(natural, (3, 3)) == ((3, 3) in expected)
-    assert natural._counts == expected and sweeps == []
+    # relabelled in reverse, its graph is natural again, here with the
+    # same reach
+    for poset in (order, relabelled(order, (5, 4, 3, 2, 1, 0))):
+        natural = incomparability_graph(poset)
+        assert posets._natural_reach(natural) == (2, 3, 4, 5, 5, 5)
+        expected = semi_ordered_by_backtracking(Graph(6, natural.edges()))
+        assert stable_partition_count(natural, (2, 2, 2)) == expected[(2, 2, 2)] // 6
+        assert has_stable_partition(natural, (3, 3)) == ((3, 3) in expected)
+        assert natural._counts == expected and sweeps == []
     # orders that are not natural unit interval orders as labelled sweep
     others = [
-        relabelled(order, (5, 4, 3, 2, 1, 0)),
         Poset.chain_union((2, 2)),
         Poset.chain_union((3, 1)),
-        # every up-set is a suffix here, but reach (3, 1, 2, 3) decreases
+        # the neighbours above each x run on from x + 1 here, but the reach
+        # (3, 1, 2, 3) decreases
         relabelled(Poset.chain_union((3, 1)), (1, 2, 3, 0)),
     ]
     for poset in others:
         graph = incomparability_graph(poset)
-        assert graph.reach is None
+        assert posets._natural_reach(graph) is None
         expected = semi_ordered_by_backtracking(Graph(graph.size, graph.edges()))
         assert stable_partition_count(graph, (1,) * graph.size) == 1
         assert graph._counts == expected and sweeps[-1] is graph
@@ -451,14 +472,18 @@ def test_count_table_sweep_matches_backtracking(graph):
 
 
 @pytest.mark.parametrize(
-    "perm, natural", [(range(8), True), (range(7, -1, -1), False)], ids=["chains", "sweep"]
+    "poset, natural",
+    [
+        (Poset(8, [(i, j) for i in range(8) for j in range(i + 3, 8)]), True),
+        (Poset.chain_union((4, 4)), False),
+    ],
+    ids=["chains", "sweep"],
 )
-def test_count_table_shared_across_threads(perm, natural):
-    # as labelled the order is natural, so its table is counted by chains;
-    # relabelled in reverse it is not, and the table is swept
-    poset = relabelled(Poset(8, [(i, j) for i in range(8) for j in range(i + 3, 8)]), perm)
+def test_count_table_shared_across_threads(poset, natural):
+    # the j - i >= 3 order is natural, so its table is counted by chains;
+    # two chains of four contain 2+2, so theirs is swept
     graph = incomparability_graph(poset)
-    assert (graph.reach is not None) == natural
+    assert (posets._natural_reach(graph) is not None) == natural
     fresh = Graph(graph.size, graph.edges())
     expected = {mu: stable_partition_count_backtracking(fresh, mu) for mu in partitions_of(8)}
     results = []
