@@ -407,6 +407,8 @@ def _parse_args(argv: list[str]) -> SimpleNamespace:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    if hasattr(sys, "set_int_max_str_digits"):  # values past 4,300 digits print
+        sys.set_int_max_str_digits(0)
     # -h or --help anywhere asks for help, even where a value was expected
     if any(token in HELP_FLAGS for token in argv):
         sys.stdout.write(_help(argv[0] if argv[0] in COMMANDS else None))

@@ -148,10 +148,11 @@ class Poset:
 class Graph:
     """A finite simple graph on vertices 0..size-1 with int bitmask adjacency.
 
-    ``sides``, given instead of edges, is a partition of ``size``: the side
-    sizes of a complete multipartite graph, in vertex order, side i taking the
-    next sides[i] vertices. ``_counts`` is the count table, X_G's monomial
-    coefficients without zeros, filled at the first read (:func:`_count_table`).
+    ``sides``, given instead of edges, builds K_sides, side i taking the next
+    sides[i] vertices. The attribute ``sides`` is read off the adjacency,
+    whatever built it: K_lambda's side sizes lambda in any labelling, else
+    None. ``_counts`` is the count table, X_G's monomial coefficients without
+    zeros, filled at the first read (:func:`_count_table`).
     """
 
     __slots__ = ("size", "_adj", "sides", "_counts")
@@ -159,18 +160,17 @@ class Graph:
     def __init__(self, size, edges=(), sides=None):
         _check_size(size)
         adj = [0] * size
+        full = (1 << size) - 1
         if sides is not None:
             if edges:
                 raise ValueError("a graph given by its sides takes no edges")
             sides = aspartition(sides)
             if sides.n != size:
                 raise ValueError(f"sides {tuple(sides)} do not sum to the size {size}")
-            full = (1 << size) - 1
             start = 0
             for ln in sides:
-                end = start + ln
-                adj[start:end] = [full ^ ((1 << end) - (1 << start))] * ln
-                start = end
+                adj[start : start + ln] = [full ^ ((1 << start + ln) - (1 << start))] * ln
+                start += ln
         for u, v in edges:
             u, v = int(u), int(v)
             if not (0 <= u < size and 0 <= v < size):
@@ -181,7 +181,9 @@ class Graph:
             adj[v] |= 1 << u
         self.size = size
         self._adj = tuple(adj)
-        self.sides = sides
+        # v's closed non-neighbourhoods partition V iff non-adjacency is an equivalence
+        sizes = sorted((b.bit_count() for b in {full & ~a for a in adj}), reverse=True)
+        self.sides = Partition(sizes) if sum(sizes) == size else None
         self._counts = {}
 
     def adjacent(self, u: int, v: int) -> bool:

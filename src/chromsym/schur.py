@@ -35,7 +35,7 @@ from math import perm
 from .errors import BadShapeError, OrderIncompatibleError
 from .oracle import monomial_to_schur, x_in_monomial
 from .partitions import Partition, aspartition, partitions_of
-from .posets import Graph, Poset, _count_table
+from .posets import Graph, Poset, _count_table, incomparability_graph
 from .sequences import nsp_chain_union
 from .symfunc import SymFunc
 from .tabloids import _content_code, _peel, signed_g_tabloid_counts
@@ -150,10 +150,10 @@ def _setup_route(graph: Graph, order, route: str):
     from a shape of the graph's weight to its coefficient and, for the
     enumerating routes, its (positive, negative) tabloid counts, else None.
     ``closed`` refuses a graph outside its families here, whatever the
-    shape. ``tail`` given no poset builds K_lambda's chain order,
-    ``Poset.chain_union(graph.sides)``, the one place that order is built; on any
-    other graph given without its poset it refuses each shape it is asked
-    for, so that a shape of the wrong weight still answers 0.
+    shape. ``tail`` takes the poset given, else the index order on the
+    non-adjacent pairs, and refuses each shape it is asked for unless that
+    order's incomparability graph is the graph, so that a shape of the wrong
+    weight still answers 0.
     """
     if route not in ROUTES:
         raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
@@ -183,10 +183,13 @@ def _setup_route(graph: Graph, order, route: str):
             raise BadShapeError("closed forms only apply to sides (2^b) or (3, 2^b)")
         return route, bound, lambda lam: (_closed_coeff(family, lam), None)
     tail = route == "tail"
-    if tail and not isinstance(order, Poset):
-        if sizes is None:
+    if tail and order is None:
+        # closed transitively, so inc(order) is the graph iff it was transitive
+        pairs = [(x, y) for x in range(graph.size) for y in range(x + 1, graph.size)]
+        order = Poset(graph.size, [(x, y) for x, y in pairs if not graph.adjacent(x, y)])
+    if tail and isinstance(order, Poset) and order.size == graph.size:
+        if incomparability_graph(order)._adj != graph._adj:
             return route, bound, _needs_poset
-        order = Poset.chain_union(sizes)
 
     def tabloids(lam):
         pos, neg = signed_g_tabloid_counts(graph, order, lam, tail_filter=tail)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from ._util import _shown, json_array, json_fields, json_int, json_ints
 from .partitions import Partition, aspartition
 
 BASES = ("monomial", "schur")
@@ -61,11 +62,17 @@ class SymFunc:
 
     @classmethod
     def from_json(cls, data: dict) -> "SymFunc":
-        coeffs = {
-            tuple(entry["partition"]): int(entry["value"])
-            for entry in data.get("coeffs", [])
-        }
-        return cls(data["basis"], data["n"], coeffs)
+        """Read what :meth:`to_json` writes; unknown keys, non-integer numbers,
+        values that are not strings and a partition given twice raise."""
+        json_fields(data, ("basis", "n"), ("coeffs",))
+        coeffs = {}
+        for entry in json_array(data.get("coeffs", []), "coeffs"):
+            json_fields(entry, ("partition", "value"))
+            lam, value = tuple(json_ints(entry["partition"], "a partition")), entry["value"]
+            if type(value) is not str or lam in coeffs:
+                raise ValueError(f"need a string value and a new partition, got {_shown(entry)}")
+            coeffs[lam] = int(value)
+        return cls(data["basis"], json_int(data["n"], "n"), coeffs)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, SymFunc):

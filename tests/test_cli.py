@@ -295,8 +295,8 @@ def test_multipartite_source_builds_the_chain_order_only_for_tail(capsys, monkey
     init, chain_union = posets.Poset.__init__, posets.Poset.chain_union
 
     def spy_init(self, *args, **kwargs):
-        built.append("Poset")
         init(self, *args, **kwargs)
+        built.append(self)
 
     def spy_chain_union(cls, lengths):
         built.append(tuple(lengths))
@@ -307,8 +307,41 @@ def test_multipartite_source_builds_the_chain_order_only_for_tail(capsys, monkey
     code, auto, _ = run(capsys, "expand", "--multipartite", "4,3,2")
     assert code == 0 and built == []
     code, tail, _ = run(capsys, "expand", "--multipartite", "4,3,2", "--route", "tail")
-    assert code == 0 and built == [(4, 3, 2)]
+    # tail orders the non-adjacent pairs by index: here the chain order, built once
+    assert code == 0 and len(built) == 1
+    chains = chain_union((4, 3, 2))
+    assert [built[0].above_mask(x) for x in range(9)] == [chains.above_mask(x) for x in range(9)]
     assert tail == auto
+
+
+def test_k_lambda_from_json_counts_by_sides_in_any_labelling(capsys, monkeypatch, tmp_path):
+    from chromsym import posets
+
+    def refuse(graph):
+        raise AssertionError("the count table swept")
+
+    monkeypatch.setattr(posets, "_sweep_counts", refuse)
+    sides = (3,) + (2,) * 8
+    argv = ("--max-vertices", "19")
+    code, out, _ = run(capsys, "expand", "--multipartite", three_two(8), *argv)
+    expected = json.loads(out)["coeffs"]
+    # K_(3,2^8) with vertex v renamed 7v mod 19, and as its union of chains
+    graph = tmp_path / "g.json"
+    edges = posets.multipartite(sides).edges()
+    graph.write_text(json.dumps({"n": 19, "edges": [[7 * u % 19, 7 * v % 19] for u, v in edges]}))
+    poset = tmp_path / "p.json"
+    poset.write_text(json.dumps(posets.Poset.chain_union(sides).to_json()))
+    for source in (("--graph-json", str(graph)), ("--poset-json", str(poset))):
+        for route in ("auto", "ww"):
+            code, out, err = run(capsys, "expand", *source, "--route", route, *argv)
+            assert code == 0 and err == "" and json.loads(out)["coeffs"] == expected
+        code, out, _ = run(capsys, "coeff", *source, "--lambda", "3,3,3,3,3,2,2", *argv)
+        assert code == 0 and json.loads(out)["route"] == "closed"
+
+
+def test_values_past_4300_digits_print(capsys):
+    code, out, err = run(capsys, "nsp", "--lambda", ",".join(["2"] * 800))
+    assert code == 0 and err == "" and len(out) == 4435 and out[:-1].isdigit()
 
 
 def test_full_scan_past_the_census_code_refuses_before_the_closed_forms(capsys, monkeypatch):

@@ -216,3 +216,23 @@ def test_symfunc_json_round_trip():
     assert SymFunc.from_json(f.to_json()) == f
     data = f.to_json()
     assert data["coeffs"][0]["value"] == "2"
+    # read as strictly as posets and graphs: no truncated, boolean or float
+    # numbers, no stray or missing keys, values as strings, each shape once
+    term = {"partition": [2, 2], "value": "2"}
+    bad = [
+        ({"basis": "schur", "n": 4, "coeffs": [{"partition": [2.5, 1.5], "value": "2"}]}, TypeError),
+        ({"basis": "schur", "n": 4, "coeffs": [{"partition": [True, 3], "value": "2"}]}, TypeError),
+        ({"basis": "schur", "n": 4.0, "coeffs": [term]}, TypeError),
+        ({"basis": "schur", "n": True, "coeffs": []}, TypeError),
+        ({"basis": "schur", "n": 4, "coeffs": [term], "degree": 4}, ValueError),
+        ({"basis": "schur", "n": 4, "coeffs": [dict(term, sign=1)]}, ValueError),
+        ({"basis": "schur", "coeffs": [term]}, ValueError),
+        ({"basis": "schur", "n": 4, "coeffs": [{"partition": [2, 2], "value": 2}]}, ValueError),
+        ({"basis": "schur", "n": 4, "coeffs": [{"partition": [2, 2], "value": "2.5"}]}, ValueError),
+        ({"basis": "schur", "n": 4, "coeffs": [term, dict(term, value="3")]}, ValueError),
+        ({"basis": "schur", "n": 4, "coeffs": {"2,2": "2"}}, TypeError),
+    ]
+    for data, error in bad:
+        with pytest.raises(error):
+            SymFunc.from_json(data)
+    assert SymFunc.from_json({"basis": "schur", "n": 4}) == SymFunc("schur", 4)

@@ -13,6 +13,7 @@ from chromsym import (
     CycleError,
     EmptyPartitionError,
     Graph,
+    Partition,
     Poset,
     has_stable_partition,
     incomparability_graph,
@@ -222,6 +223,39 @@ def test_chain_union_masks_match_the_closure_of_its_covers():
     assert chains.above_mask(0) == (1 << 40) - 1
     assert chains.above_mask(40) == (1 << 65) - (1 << 40)
     assert chains.leq(40, 64) and not chains.comparable(39, 40)
+
+
+def test_sides_are_read_off_the_adjacency():
+    assert Graph(3, [(0, 1), (1, 2)]).sides == (2, 1)  # P3
+    assert Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]).sides == (2, 2)  # C4
+    assert Graph(4, [(0, 1), (1, 2), (2, 3)]).sides is None  # P4
+    assert Graph(5).sides == (5,)
+    assert Graph(4, list(itertools.combinations(range(4), 2))).sides == (1, 1, 1, 1)
+    assert Graph(0).sides == ()
+    # K_(3,2) with the sides {1, 3, 4} and {0, 2}
+    graph = Graph(5, [(u, v) for u in (1, 3, 4) for v in (0, 2)])
+    assert graph.sides == (3, 2) and isinstance(graph.sides, Partition)
+
+
+def test_sides_recognise_exactly_the_set_partitions_up_to_five():
+    # non-adjacency is an equivalence relation on exactly the K_lambda, one
+    # graph per set partition of the vertices: the Bell numbers
+    bell = [1, 1, 2, 5, 15, 52]
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        accepted = 0
+        for chosen in range(1 << len(pairs)):
+            graph = Graph(n, [e for i, e in enumerate(pairs) if (chosen >> i) & 1])
+            apart = [[not graph.adjacent(u, v) for v in range(n)] for u in range(n)]
+            equivalence = all(
+                apart[u][w] for u, v, w in itertools.permutations(range(n), 3)
+                if apart[u][v] and apart[v][w]
+            )
+            assert (graph.sides is not None) == equivalence, graph
+            if equivalence:
+                accepted += 1
+                assert posets._count_table(graph) == posets._sweep_counts(graph), graph
+        assert accepted == bell[n]
 
 
 def test_graph_given_by_sides_takes_no_edges():
@@ -440,17 +474,33 @@ def test_natural_orders_count_by_chains_and_never_sweep(monkeypatch):
         assert stable_partition_count(natural, (2, 2, 2)) == expected[(2, 2, 2)] // 6
         assert has_stable_partition(natural, (3, 3)) == ((3, 3) in expected)
         assert natural._counts == expected and sweeps == []
-    # orders that are not natural unit interval orders as labelled sweep
-    others = [
+    # 2+2 and 3+1 are not natural as labelled, but their graphs are K_lambda
+    # in any labelling, so they count by sides and never sweep either
+    chains = [
         Poset.chain_union((2, 2)),
         Poset.chain_union((3, 1)),
         # the neighbours above each x run on from x + 1 here, but the reach
         # (3, 1, 2, 3) decreases
         relabelled(Poset.chain_union((3, 1)), (1, 2, 3, 0)),
     ]
+    for poset in chains:
+        graph = incomparability_graph(poset)
+        assert posets._natural_reach(graph) is None and graph.sides is not None
+        expected = semi_ordered_by_backtracking(Graph(graph.size, graph.edges()))
+        assert stable_partition_count(graph, (1,) * graph.size) == 1
+        assert graph._counts == expected and sweeps == []
+    # orders whose graphs are neither natural as labelled nor K_lambda sweep
+    others = [
+        # N: a < c > b < d
+        Poset(4, [(0, 2), (1, 2), (1, 3)]),
+        # 2+2 with a top
+        Poset(5, [(0, 1), (2, 3), (1, 4), (3, 4)]),
+        # the natural order above, relabelled out of natural order
+        relabelled(order, (1, 2, 3, 0, 4, 5)),
+    ]
     for poset in others:
         graph = incomparability_graph(poset)
-        assert posets._natural_reach(graph) is None
+        assert posets._natural_reach(graph) is None and graph.sides is None
         expected = semi_ordered_by_backtracking(Graph(graph.size, graph.edges()))
         assert stable_partition_count(graph, (1,) * graph.size) == 1
         assert graph._counts == expected and sweeps[-1] is graph
@@ -475,15 +525,17 @@ def test_count_table_sweep_matches_backtracking(graph):
     "poset, natural",
     [
         (Poset(8, [(i, j) for i in range(8) for j in range(i + 3, 8)]), True),
-        (Poset.chain_union((4, 4)), False),
+        # two copies of N (a < c > b < d): neither natural nor K_lambda
+        (Poset(8, [(0, 2), (1, 2), (1, 3), (4, 6), (5, 6), (5, 7)]), False),
     ],
     ids=["chains", "sweep"],
 )
 def test_count_table_shared_across_threads(poset, natural):
     # the j - i >= 3 order is natural, so its table is counted by chains;
-    # two chains of four contain 2+2, so theirs is swept
+    # the other graph has no sides and no reach, so its table is swept
     graph = incomparability_graph(poset)
     assert (posets._natural_reach(graph) is not None) == natural
+    assert graph.sides is None
     fresh = Graph(graph.size, graph.edges())
     expected = {mu: stable_partition_count_backtracking(fresh, mu) for mu in partitions_of(8)}
     results = []

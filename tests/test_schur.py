@@ -1,9 +1,10 @@
 import ast
+import itertools
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from chromsym import (
     BadShapeError,
@@ -180,6 +181,52 @@ def test_tail_route_needs_a_poset():
     assert coeff_report(c5, None, (2, 2, 1)).route == "ww"
 
 
+def test_tail_refuses_an_order_whose_incomparability_graph_is_not_the_graph():
+    from chromsym import OrderIncompatibleError
+
+    k3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
+    c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    for graph in (k3, c5):
+        # every pair is comparable in the chain, so tabloid accepts it, but
+        # its incomparability graph is edgeless, not the graph
+        ones, chain = (1,) * graph.size, Poset.chain_union((graph.size,))
+        ww = coeff_report(graph, None, ones, "ww").value
+        assert coeff_report(graph, chain, ones, "tabloid").value == ww
+        with pytest.raises(OrderIncompatibleError):
+            coeff_report(graph, chain, ones, "tail")
+        assert coeff_report(graph, chain, (1,), "tail").value == 0  # weight mismatch
+    # no order given: K_3's non-edges, none, order it as the antichain
+    assert coeff_report(k3, None, (1, 1, 1), "tail").value == 6
+
+
+def test_tail_orders_k_lambda_by_its_non_edges_in_any_labelling():
+    graph = multipartite((3, 2, 2))
+    for name in [(0, 3, 5, 1, 4, 2, 6), (6, 5, 4, 3, 2, 1, 0), (2, 0, 4, 6, 1, 3, 5)]:
+        renamed = Graph(7, [(name[u], name[v]) for u, v in graph.edges()])
+        assert renamed.sides == (3, 2, 2)
+        assert expand_schur(renamed, None, "tail") == expand_schur(renamed, None, "ww")
+
+
+@st.composite
+def naturally_labelled_posets(draw, max_n=7):
+    """Random posets on up to `max_n` elements whose covers all go up in
+    index, so that the index order extends each of them."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Poset(n, [pair for pair, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=40, deadline=None)
+@given(naturally_labelled_posets())
+def test_tail_takes_its_order_from_the_non_edges(poset):
+    # the graph alone, with no poset, names the same order, so tail agrees
+    # tabloid count for tabloid
+    graph = Graph(poset.size, incomparability_graph(poset).edges())
+    for mu in partitions_of(poset.size):
+        assert coeff_report(graph, None, mu, "tail") == coeff_report(graph, poset, mu, "tail")
+
+
 WEIGHT_CASES = [
     ("K_(2,2)", multipartite((2, 2)), Poset.chain_union((2, 2))),
     ("claw", multipartite((3, 1)), Poset.chain_union((3, 1))),
@@ -235,9 +282,10 @@ def test_ww_census_skips_shapes_wider_than_alpha(monkeypatch):
 
 
 def test_every_route_on_k_lambda_skips_shapes_wider_than_its_largest_side(monkeypatch):
-    # every stable set of K_lambda lies in one side, so every route on it asks
-    # only for the shapes whose first row fits in the largest side; on a graph
-    # without sides, tabloid, tail and oracle ask for every shape
+    # every stable set of K_lambda lies in one side, so every route on it,
+    # however it was built, asks only for the shapes whose first row fits in
+    # the largest side; on a graph without sides, tabloid and oracle ask for
+    # every shape
     asked = []
     setup = schur._setup_route
 
@@ -254,6 +302,9 @@ def test_every_route_on_k_lambda_skips_shapes_wider_than_its_largest_side(monkey
     for sides in [(3, 2, 2), (2, 2, 2), (4, 2, 1), (3, 3, 1)]:
         graph, poset = multipartite(sides), Poset.chain_union(sides)
         bare = Graph(graph.size, graph.edges())
+        # one edge between two sides taken away: no longer multipartite
+        missing = Graph(graph.size, graph.edges()[1:])
+        assert bare.sides == graph.sides and missing.sides is None
         everything = list(partitions_of(graph.size))
         within = list(partitions_of(graph.size, max_part=max(sides)))
         for route in ("oracle", "tabloid", "tail"):
@@ -262,7 +313,11 @@ def test_every_route_on_k_lambda_skips_shapes_wider_than_its_largest_side(monkey
                 truth = expand_schur(bare, poset, route)
             else:
                 assert expand_schur(bare, poset, route) == truth
-            assert asked == everything, route
+            assert asked == within, route
+            if route != "tail":
+                asked.clear()
+                expand_schur(missing, None, route)
+                assert asked == everything, route
         for route in ROUTES:
             if route == "closed" and not schur._closed_family(graph):
                 continue
@@ -288,18 +343,22 @@ def test_closed_forms_match_ww_up_to_beta_20():
 
 
 def test_tail_expansion_builds_the_chain_union_once(monkeypatch):
+    # tail orders the non-adjacent pairs by index, which on K_lambda is its
+    # chain union, and builds that order once per expansion
     graph = multipartite((3, 2, 2))
     expected = expand_schur(graph, None, "oracle")
     built = []
-    chain_union = Poset.chain_union
+    init = Poset.__init__
 
-    def spy(cls, lengths):
-        built.append(tuple(lengths))
-        return chain_union(lengths)
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
 
-    monkeypatch.setattr(Poset, "chain_union", classmethod(spy))
+    monkeypatch.setattr(Poset, "__init__", spy)
     assert expand_schur(graph, None, "tail") == expected
-    assert built == [(3, 2, 2)]
+    chains = Poset.chain_union((3, 2, 2))
+    assert len(built) == 1
+    assert [built[0].above_mask(x) for x in range(7)] == [chains.above_mask(x) for x in range(7)]
 
 
 def test_tabloid_routes_on_k_lambda_need_no_poset():
