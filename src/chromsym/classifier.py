@@ -12,17 +12,9 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import LengthOneError
-from .partitions import Partition, aspartition, dominates, partitions_of
-from .posets import (
-    multipartite,
-    multipartite_has_stable_partition,
-)
-from .schur import (
-    _closed_family,
-    coeff_closed_32beta,
-    expand_schur,
-    positivity_scan,
-)
+from .partitions import Partition, aspartition, dominates
+from .posets import multipartite, multipartite_has_stable_partition
+from .schur import _closed_family, expand_schur, positivity_scan
 
 SCHUR_POSITIVE = "SchurPositive"
 NOT_SCHUR_POSITIVE = "NotSchurPositive"
@@ -114,12 +106,8 @@ def _verify_witness(report: ClassificationReport) -> bool:
             and not multipartite_has_stable_partition(lam, mu)
         )
     if report.reason == REASON_THREE_TWO_POWER:
-        # the closed form is 0 on every shape with a row longer than 3
-        beta = len(lam) - 1
-        return all(
-            coeff_closed_32beta(beta, mu) >= 0
-            for mu in partitions_of(lam.n, max_part=3)
-        )
+        # auto takes the closed forms here, over the shapes with rows of at most 3
+        return positivity_scan(multipartite(lam)).all_nonnegative
     # sides of size <= 2 bound every stable set by 2; no finite witness to check
     return False
 

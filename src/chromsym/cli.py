@@ -61,13 +61,27 @@ def _parse_parts(text: str, flag: str) -> list[int]:
         raise UsageError(f"{flag}: expected comma-separated integers, got {text!r}") from exc
 
 
+def _unique_keys(pairs) -> dict:
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"key {json.dumps(key)} given twice")
+        data[key] = value
+    return data
+
+
 def _read_json(path: str) -> dict:
+    """The document at `path` ('-' for stdin) as strict UTF-8, each key once per object."""
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            # a text stream, which has no bytes, stands in for stdin in tests
+            raw = getattr(sys.stdin, "buffer", sys.stdin).read()
+        else:
+            with open(path, "rb") as fh:
+                raw = fh.read()
+        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except (OSError, ValueError, RecursionError) as exc:
         raise UsageError(f"cannot read JSON from {path}: {exc}") from exc
 
 

@@ -28,50 +28,51 @@ def _check_size(size: int):
 class Poset:
     """A finite partial order on elements 0..size-1.
 
-    The relation is stored as one reachability bitmask per element:
-    ``above[x]`` has bit y set iff x <= y (reflexive); a mask is an int of
-    any width. Optional string labels name the elements. Instances are
-    immutable after construction.
+    The relation is stored as two bitmasks per element: ``_above[x]`` has bit
+    y set iff x <= y, ``_below[x]`` iff y <= x (both reflexive); a mask is an
+    int of any width. Optional string labels name the elements. Instances
+    are immutable after construction.
     """
 
-    __slots__ = ("size", "covers", "labels", "_above")
+    __slots__ = ("size", "covers", "labels", "_above", "_below")
 
     def __init__(self, size, covers, labels=None):
         _check_size(size)
         covers = tuple((int(lo), int(hi)) for lo, hi in covers)
+        up = [[] for _ in range(size)]
+        waiting = [0] * size  # covers below each element not yet placed
         for lo, hi in covers:
             if not (0 <= lo < size and 0 <= hi < size):
                 raise ValueError(f"cover ({lo}, {hi}) out of range for size {size}")
-            if lo == hi:
-                raise CycleError(f"cover ({lo}, {hi}) relates an element to itself")
+            up[lo].append(hi)
+            waiting[hi] += 1
         if labels is not None:
             labels = tuple(str(x) for x in labels)
             if len(labels) != size:
                 raise ValueError("labels must name every element")
-        above = [1 << i for i in range(size)]
-        up = [[] for _ in range(size)]
-        for lo, hi in covers:
-            up[lo].append(hi)
-        changed = True
-        while changed:
-            changed = False
-            for lo in range(size):
-                m = above[lo]
-                for hi in up[lo]:
-                    m |= above[hi]
-                if m != above[lo]:
-                    above[lo] = m
-                    changed = True
-        for x in range(size):
-            for y in iter_bits(above[x] & ~(1 << x)):
-                if (above[y] >> x) & 1:
-                    raise CycleError(
-                        f"elements {x} and {y} are mutually reachable; not a partial order"
-                    )
+        # Kahn: place an element once everything below it is placed, so that
+        # down-masks fill in order and up-masks in reverse order
+        below = [1 << x for x in range(size)]
+        order = [x for x in range(size) if not waiting[x]]
+        for x in order:
+            for y in up[x]:
+                below[y] |= below[x]
+                waiting[y] -= 1
+                if not waiting[y]:
+                    order.append(y)
+        if len(order) < size:
+            # what is still waiting lies on or above a cycle
+            x = next(x for x, w in enumerate(waiting) if w)
+            raise CycleError(f"the covers form a cycle at or below element {x}")
+        above = [1 << x for x in range(size)]
+        for x in reversed(order):
+            for y in up[x]:
+                above[x] |= above[y]
         self.size = size
         self.covers = covers
         self.labels = labels
         self._above = tuple(above)
+        self._below = tuple(below)
 
     @classmethod
     def chain_union(cls, lengths) -> "Poset":
@@ -82,22 +83,12 @@ class Poset:
         lengths = tuple(int(x) for x in lengths)
         if any(ln < 0 for ln in lengths):
             raise ValueError("chain lengths must be nonnegative")
-        size = sum(lengths)
         covers = []
-        above = []
         start = 0
         for ln in lengths:
-            end = start + ln
-            covers.extend((x, x + 1) for x in range(start, end - 1))
-            # x lies below every later element of its own chain
-            above.extend((1 << end) - (1 << x) for x in range(start, end))
-            start = end
-        self = cls.__new__(cls)
-        self.size = size
-        self.covers = tuple(covers)
-        self.labels = None
-        self._above = tuple(above)
-        return self
+            covers.extend((x, x + 1) for x in range(start, start + ln - 1))
+            start += ln
+        return cls(start, covers)
 
     def leq(self, x: int, y: int) -> bool:
         return bool((self._above[x] >> y) & 1)
@@ -209,11 +200,16 @@ class Graph:
         return f"Graph(size={self.size}, edges={self.edges()})"
 
 
+def _incomparable(poset: Poset) -> tuple[int, ...]:
+    """Each element's mask of the elements it is incomparable with."""
+    full = (1 << poset.size) - 1
+    return tuple(full & ~(up | down) for up, down in zip(poset._above, poset._below))
+
+
 def incomparability_graph(poset: Poset) -> Graph:
     """Graph on the poset elements with edges between incomparable pairs."""
-    n = poset.size
-    edges = [(x, y) for x in range(n) for y in range(x + 1, n) if not poset.comparable(x, y)]
-    return Graph(n, edges)
+    edges = [(x, y) for x, inc in enumerate(_incomparable(poset)) for y in iter_bits(inc) if x < y]
+    return Graph(poset.size, edges)
 
 
 def multipartite(lam) -> Graph:

@@ -35,7 +35,7 @@ from math import perm
 from .errors import BadShapeError, OrderIncompatibleError
 from .oracle import monomial_to_schur, x_in_monomial
 from .partitions import Partition, aspartition, partitions_of
-from .posets import Graph, Poset, _count_table, incomparability_graph
+from .posets import Graph, Poset, _count_table, _incomparable
 from .sequences import nsp_chain_union
 from .symfunc import SymFunc
 from .tabloids import _content_code, _peel, signed_g_tabloid_counts
@@ -188,7 +188,7 @@ def _setup_route(graph: Graph, order, route: str):
         pairs = [(x, y) for x in range(graph.size) for y in range(x + 1, graph.size)]
         order = Poset(graph.size, [(x, y) for x, y in pairs if not graph.adjacent(x, y)])
     if tail and isinstance(order, Poset) and order.size == graph.size:
-        if incomparability_graph(order)._adj != graph._adj:
+        if _incomparable(order) != graph._adj:
             return route, bound, _needs_poset
 
     def tabloids(lam):

@@ -25,7 +25,8 @@ class SymFunc:
         table = {}
         for lam, value in dict(coeffs or {}).items():
             lam = aspartition(lam)
-            value = int(value)
+            if type(value) is not int:
+                raise TypeError(f"coefficient of {tuple(lam)} must be an int, got {value!r}")
             if lam.n != degree:
                 raise ValueError(f"{lam!r} is not a partition of {degree}")
             if value:

@@ -19,7 +19,7 @@ from functools import cache
 from ._util import iter_bits
 from .errors import CapExceededError, OrderIncompatibleError, SizeMismatchError
 from .partitions import Composition, Diagram, Partition, aspartition
-from .posets import Graph, Poset
+from .posets import Graph, Poset, _incomparable
 
 
 class RimHook:
@@ -237,13 +237,12 @@ def _resolve_order(order, n: int) -> Poset:
 
 
 def check_order_compatible(graph: Graph, order: Poset):
-    """Every non-adjacent pair must be comparable in the order."""
-    for u in range(graph.size):
-        for v in range(u + 1, graph.size):
-            if not graph.adjacent(u, v) and not order.comparable(u, v):
-                raise OrderIncompatibleError(
-                    f"vertices {u} and {v} are non-adjacent but incomparable"
-                )
+    """Every non-adjacent pair must be comparable in the order: each vertex's
+    incomparable mask lies inside its adjacency."""
+    for u, (inc, adj) in enumerate(zip(_incomparable(order), graph._adj)):
+        # the relation is symmetric: the first such u has its partners above it
+        for v in iter_bits(inc & ~adj):
+            raise OrderIncompatibleError(f"vertices {u} and {v} are non-adjacent but incomparable")
 
 
 def _fillings(graph: Graph, order: Poset, shape: tuple[int, ...], tiling, tail_filter: bool):

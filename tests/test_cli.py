@@ -663,6 +663,31 @@ def test_non_integer_numbers_and_unknown_keys_are_usage_errors(
     assert len(lines) == 1 and lines[0].startswith(f"chromsym: error: {flag}: {message}")
 
 
+@pytest.mark.parametrize(
+    "document, reason",
+    [
+        (b'{"n":1,"covers":[],"labels":["\xff"]}', "can't decode byte 0xff"),
+        (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+        (b'{"n":1,"n":2}', 'key "n" given twice'),
+    ],
+    ids=["invalid-utf8", "nested-100000-deep", "repeated-key"],
+)
+@pytest.mark.parametrize("flag", ["--poset-json", "--graph-json"])
+def test_unreadable_json_is_a_usage_error_from_a_file_and_from_stdin(
+    capsys, monkeypatch, tmp_path, flag, document, reason
+):
+    path = tmp_path / "doc.json"
+    path.write_bytes(document)
+    # a real stdin decodes undecodable bytes to surrogates; its bytes are read instead
+    stdin = io.TextIOWrapper(io.BytesIO(document), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr("sys.stdin", stdin)
+    for source in (str(path), "-"):
+        code, out, err = run(capsys, "expand", flag, source)
+        assert code == 2 and out == ""
+        assert err.startswith(f"chromsym: error: cannot read JSON from {source}: ")
+        assert reason in err and err.count("\n") == 1
+
+
 C5 = {"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]}
 POSET6 = {
     "n": 6,

@@ -236,3 +236,12 @@ def test_symfunc_json_round_trip():
         with pytest.raises(error):
             SymFunc.from_json(data)
     assert SymFunc.from_json({"basis": "schur", "n": 4}) == SymFunc("schur", 4)
+
+
+def test_symfunc_refuses_coefficients_that_are_not_ints():
+    with pytest.raises(TypeError):
+        SymFunc("schur", 2, {(2,): 2.5, (1, 1): True})
+    for value in (True, False, 2.0, "2", None):
+        with pytest.raises(TypeError):
+            SymFunc("schur", 2, {(2,): value})
+    assert SymFunc("schur", 2, {(2,): 2, (1, 1): 0}).coeffs == {(2,): 2}

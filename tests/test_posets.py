@@ -4,15 +4,17 @@ import threading
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import chromsym.posets as posets
 import chromsym.reference as reference
 from chromsym._util import iter_bits
+from chromsym.tabloids import check_order_compatible
 from chromsym import (
     CycleError,
     EmptyPartitionError,
     Graph,
+    OrderIncompatibleError,
     Partition,
     Poset,
     has_stable_partition,
@@ -208,14 +210,19 @@ def test_multipartite_edges_match_the_chain_union():
 
 
 def test_chain_union_masks_match_the_closure_of_its_covers():
-    # chain_union writes its reachability masks; Poset closes the covers
+    # x lies below every later element of its own chain, which ends at `end`
     for lengths in [(), (1,), (3, 2), (2, 0, 3), (1, 1, 1), (4, 4, 2, 1), (40, 25)]:
         chains = Poset.chain_union(lengths)
         closed = Poset(chains.size, chains.covers)
         assert chains.size == sum(lengths)
-        assert [chains.above_mask(x) for x in range(chains.size)] == [
-            closed.above_mask(x) for x in range(closed.size)
+        ends = list(itertools.accumulate(lengths))
+        expected = [
+            (1 << end) - (1 << x)
+            for start, end in zip([0] + ends, ends)
+            for x in range(start, end)
         ]
+        assert [chains.above_mask(x) for x in range(chains.size)] == expected
+        assert [closed.above_mask(x) for x in range(closed.size)] == expected
     with pytest.raises(ValueError):
         Poset.chain_union((2, -1))
     # past 64 elements: the first chain is 0..39, the second 40..64
@@ -223,6 +230,67 @@ def test_chain_union_masks_match_the_closure_of_its_covers():
     assert chains.above_mask(0) == (1 << 40) - 1
     assert chains.above_mask(40) == (1 << 65) - (1 << 40)
     assert chains.leq(40, 64) and not chains.comparable(39, 40)
+
+
+def brute_force_reach(n, covers):
+    """reach[x]: the y with a path of covers from x to y, x itself included."""
+    reach = [{x} for x in range(n)]
+    for _ in range(n):
+        for lo, hi in covers:
+            reach[lo] |= reach[hi]
+    return reach
+
+
+@st.composite
+def cover_lists(draw, max_n=8):
+    """(n, covers, edges): any covers on n elements, cycles and self-loops
+    included, and a random graph on the same elements."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    if not n:
+        return 0, [], []
+    element = st.integers(min_value=0, max_value=n - 1)
+    covers = draw(st.lists(st.tuples(element, element), max_size=2 * n))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, covers, [e for e, k in zip(pairs, keep) if k]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cover_lists())
+@example((0, [], []))
+@example((4, [(0, 1), (1, 2), (2, 3)], []))  # a chain
+@example((4, [], []))  # an antichain
+@example((4, [], [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]))  # and its graph
+@example((4, [(0, 1), (2, 3)], [(0, 2), (0, 3), (1, 2), (1, 3)]))  # 2+2 and its graph
+@example((4, [(0, 1), (2, 3)], [(0, 2), (0, 3), (1, 2)]))
+def test_poset_masks_match_brute_force_reachability(case):
+    n, covers, edges = case
+    reach = brute_force_reach(n, covers)
+    if any(x in reach[y] for x in range(n) for y in reach[x] if y != x) or any(
+        lo == hi for lo, hi in covers
+    ):
+        with pytest.raises(CycleError):
+            Poset(n, covers)
+        return
+    poset = Poset(n, covers)
+    assert [[poset.leq(x, y) for y in range(n)] for x in range(n)] == [
+        [y in reach[x] for y in range(n)] for x in range(n)
+    ]
+    apart = [
+        (x, y)
+        for x, y in itertools.combinations(range(n), 2)
+        if y not in reach[x] and x not in reach[y]
+    ]
+    assert incomparability_graph(poset).edges() == apart
+    # compatible iff no non-adjacent pair is incomparable; the first is named
+    clash = [(x, y) for x, y in apart if (x, y) not in edges]
+    check_order_compatible(incomparability_graph(poset), poset)
+    if clash:
+        u, v = clash[0]
+        with pytest.raises(OrderIncompatibleError, match=f"vertices {u} and {v} "):
+            check_order_compatible(Graph(n, edges), poset)
+    else:
+        check_order_compatible(Graph(n, edges), poset)
 
 
 def test_sides_are_read_off_the_adjacency():

@@ -347,6 +347,7 @@ def test_tail_expansion_builds_the_chain_union_once(monkeypatch):
     # chain union, and builds that order once per expansion
     graph = multipartite((3, 2, 2))
     expected = expand_schur(graph, None, "oracle")
+    chains = Poset.chain_union((3, 2, 2))
     built = []
     init = Poset.__init__
 
@@ -356,7 +357,6 @@ def test_tail_expansion_builds_the_chain_union_once(monkeypatch):
 
     monkeypatch.setattr(Poset, "__init__", spy)
     assert expand_schur(graph, None, "tail") == expected
-    chains = Poset.chain_union((3, 2, 2))
     assert len(built) == 1
     assert [built[0].above_mask(x) for x in range(7)] == [chains.above_mask(x) for x in range(7)]
 
