@@ -4,9 +4,9 @@ Each graph keeps one count table: the semi-ordered stable-partition count
 of every type it has, which is the coefficient of m_type in X_G (Stanley
 1995). A stable set of a complete multipartite graph, the incomparability
 graph of disjoint chains, lies inside one side, so its table is a product
-over the sides. A stable set of the graph of a natural unit interval order
-is a chain, so its table is counted chain by chain. Any other graph counts
-every type at once by inclusion-exclusion over vertex subsets.
+over the sides. A stable set of inc(P) is a chain of P, so inc(P) labelled
+by a linear extension of P fills chains element by element. Any other graph
+counts every type at once by inclusion-exclusion over vertex subsets.
 """
 
 from __future__ import annotations
@@ -351,69 +351,57 @@ def _sweep_counts(graph: Graph) -> dict:
     return table
 
 
-def _chain_counts(reach) -> dict:
-    """The count table of inc(P), P the order where x < y iff y > reach[x].
+def _index_order(graph: Graph):
+    """Each vertex's mask of later non-neighbours if the non-edges, oriented
+    by index, are transitive (exactly when the labelling is a linear
+    extension of an order P with inc(P) = graph), else None."""
+    full = (1 << graph.size) - 1
+    later = tuple(full & ~adj & -(2 << x) for x, adj in enumerate(graph._adj))
+    return later if all(not later[y] & ~up for up in later for y in iter_bits(up)) else None
 
-    A stable set is a chain of P; the elements join chains in order. At step
-    i the window keeps, in order, the length of each chain ending at an l
-    with reach[l] >= i, which i cannot extend; the other chains take any
-    later element, so only the sorted multiset of their lengths is kept.
-    """
-    states = {((), ()): 1}
-    lo = 0  # the window's first element
-    for i in range(len(reach)):
-        old = lo
-        while reach[lo] < i:
-            lo += 1
-        grown = {}
-        for (window, free), count in states.items():
-            if lo > old:
-                free = tuple(sorted(free + window[: lo - old]))
-                window = window[lo - old :]
-            # i starts a chain (k = 0) or extends a free one of length k
-            for k in {0, *free}:
-                rest = list(free)
-                if k:
-                    rest.remove(k)
-                key = (window + (k + 1,), tuple(rest))
-                grown[key] = grown.get(key, 0) + count * (free.count(k) or 1)
+
+def _frontier_counts(later) -> dict:
+    """The count table of inc(P), 0..n-1 a linear extension of P and later[x]
+    the elements above x, by frontier-based search (Kawahara et al. 2017):
+    the elements join blocks (chains of P) in order, each block kept as its
+    key, the later elements it may still take, and its size. Placing v
+    removes v from every key; the block v starts or joins takes later[v].
+    Blocks with equal key and size are interchangeable, so a join counts
+    their number, and a block whose key is empty is closed."""
+    unit = 1 << len(later).bit_length()  # a block is the int key * unit + size
+    states = {(): 1}  # sorted blocks -> set partitions
+    for v, mine in enumerate(later):
+        bit, grown = unit << v, {}
+        for blocks, count in states.items():
+            stay = [block & ~bit for block in blocks]
+            takers = {}  # each block that may take v, as it stays -> its copies
+            for block, kept in zip(blocks, stay):
+                if block & bit:
+                    takers[kept] = takers.get(kept, 0) + 1
+            # v starts a block (0 before it) or joins one that may take it
+            for kept, ways in [(0, 1), *takers.items()]:
+                moved = stay.copy()
+                if kept:
+                    moved.remove(kept)
+                state = tuple(sorted([*moved, mine * unit + kept % unit + 1]))
+                grown[state] = grown.get(state, 0) + count * ways
         states = grown
-    table = {}
-    for (window, free), count in states.items():
-        mu = tuple(sorted(window + free, reverse=True))
-        table[mu] = table.get(mu, 0) + count
-    return _semi_ordered(table)
-
-
-def _natural_reach(graph: Graph):
-    """The reach of `graph` as inc(P), P the natural unit interval order where
-    x < y iff y > reach[x] (transitive as reach weakly increases), or None:
-    the neighbours above each x must be exactly x+1..reach[x]."""
-    reach = []
-    for x, adj in enumerate(graph._adj):
-        up = adj >> (x + 1)
-        r = x + up.bit_length()
-        if up & (up + 1) or (reach and r < reach[-1]):
-            return None
-        reach.append(r)
-    return tuple(reach)
+    # every key is empty now, so each block is its size and a state its type
+    return _semi_ordered({blocks[::-1]: count for blocks, count in states.items()})
 
 
 def _count_table(graph: Graph) -> dict:
-    """The graph's whole count table, filled at the first read.
-
-    It maps each type the graph has to its semi-ordered stable-partition
-    count, the coefficient of m_type in X_G. A multipartite graph fills it by
-    :func:`_side_product_counts`, a graph with a :func:`_natural_reach` by
-    :func:`_chain_counts`, any other graph by one :func:`_sweep_counts`.
-    """
+    """The graph's whole count table, X_G's monomial coefficients (Stanley
+    1995), filled at the first read by the method the graph picks: the side
+    product if it has sides, else the frontier DP if :func:`_index_order`
+    reads it as inc(P) labelled by a linear extension, else the sweep."""
     table = graph._counts
     if not table:
         if graph.sides is not None:
             table = _side_product_counts(graph.sides)
         else:
-            reach = _natural_reach(graph)
-            table = _sweep_counts(graph) if reach is None else _chain_counts(reach)
+            later = _index_order(graph)
+            table = _sweep_counts(graph) if later is None else _frontier_counts(later)
         # another thread may fill too; both publish the same whole table
         graph._counts.update(table)
     return table

@@ -35,7 +35,7 @@ from math import perm
 from .errors import BadShapeError, OrderIncompatibleError
 from .oracle import monomial_to_schur, x_in_monomial
 from .partitions import Partition, aspartition, partitions_of
-from .posets import Graph, Poset, _count_table, _incomparable
+from .posets import Graph, Poset, _count_table, _incomparable, _index_order
 from .sequences import nsp_chain_union
 from .symfunc import SymFunc
 from .tabloids import _content_code, _peel, signed_g_tabloid_counts
@@ -149,11 +149,12 @@ def _setup_route(graph: Graph, order, route: str):
     independence number for ``ww`` and n for the others); and a function
     from a shape of the graph's weight to its coefficient and, for the
     enumerating routes, its (positive, negative) tabloid counts, else None.
-    ``closed`` refuses a graph outside its families here, whatever the
-    shape. ``tail`` takes the poset given, else the index order on the
-    non-adjacent pairs, and refuses each shape it is asked for unless that
-    order's incomparability graph is the graph, so that a shape of the wrong
-    weight still answers 0.
+    ``ww`` reads the count table, whose method the graph picks
+    (:func:`_count_table`). ``closed`` refuses a graph outside its families
+    here, whatever the shape. ``tail`` takes the poset given, else the order
+    that :func:`_index_order` reads off the non-edges, and refuses each
+    shape it is asked for unless that order's incomparability graph is the
+    graph, so that a shape of the wrong weight still answers 0.
     """
     if route not in ROUTES:
         raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
@@ -184,10 +185,11 @@ def _setup_route(graph: Graph, order, route: str):
         return route, bound, lambda lam: (_closed_coeff(family, lam), None)
     tail = route == "tail"
     if tail and order is None:
-        # closed transitively, so inc(order) is the graph iff it was transitive
+        if _index_order(graph) is None:
+            return route, bound, _needs_poset
         pairs = [(x, y) for x in range(graph.size) for y in range(x + 1, graph.size)]
         order = Poset(graph.size, [(x, y) for x, y in pairs if not graph.adjacent(x, y)])
-    if tail and isinstance(order, Poset) and order.size == graph.size:
+    elif tail and isinstance(order, Poset) and order.size == graph.size:
         if _incomparable(order) != graph._adj:
             return route, bound, _needs_poset
 

@@ -4,7 +4,7 @@ Each check takes the largest n to sweep and returns True when it holds. The
 route and coloring checks run on fixed small graphs and ignore ``max_n``; the
 closed-form check reads it as the number b of sides of size 2; the
 count-table check stops at five vertices, where there are already 1,024
-graphs, and the chain DP check at eight (1,430 orders).
+graphs, and the frontier DP check at eight (1,430 natural orders).
 ``CHECKS`` lists them in the order the command prints them.
 """
 
@@ -17,8 +17,8 @@ from .partitions import dominates, partitions_of
 from .posets import (
     Graph,
     Poset,
-    _count_table,
-    _natural_reach,
+    _frontier_counts,
+    _index_order,
     _sweep_counts,
     incomparability_graph,
     multipartite,
@@ -155,16 +155,24 @@ def count_table_agreement(max_n: int) -> bool:
     return True
 
 
-def chain_counts_match_sweep(max_n: int) -> bool:
-    for n in range(min(max_n, 8) + 1):
-        # every weakly increasing reach with reach[x] >= x: each order once
-        for reach in combinations_with_replacement(range(n), n):
-            if all(r >= x for x, r in enumerate(reach)):
-                poset = Poset(n, [(x, y) for x, r in enumerate(reach) for y in range(r + 1, n)])
-                graph = incomparability_graph(poset)
-                if _natural_reach(graph) != reach or _count_table(graph) != _sweep_counts(graph):
-                    return False
-    return True
+def frontier_counts_match_sweep(max_n: int) -> bool:
+    graphs = [  # each natural order once, by its weakly increasing reach[x] >= x
+        Graph(n, [(x, y) for x, r in enumerate(reach) for y in range(x + 1, r + 1)])
+        for n in range(min(max_n, 8) + 1)
+        for reach in combinations_with_replacement(range(n), n)
+        if all(r >= x for x, r in enumerate(reach))
+    ]
+    for n in range(min(max_n, 5) + 1):
+        # the naturally labelled posets, picked out of every graph: 1, 1, 2,
+        # 7, 40 and 357 of them for n = 0..5 (OEIS A006455)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        every = [[e for i, e in enumerate(pairs) if c >> i & 1] for c in range(1 << len(pairs))]
+        labelled = [g for g in (Graph(n, edges) for edges in every) if _index_order(g) is not None]
+        if len(labelled) != (1, 1, 2, 7, 40, 357)[n]:
+            return False
+        graphs += labelled
+    tables = ((_index_order(graph), _sweep_counts(graph)) for graph in graphs)
+    return all(later is not None and _frontier_counts(later) == swept for later, swept in tables)
 
 
 def nsp_agreement(max_n: int) -> bool:
@@ -187,8 +195,8 @@ CHECKS = (
     ("chain-union sequence count matches brute force", nsp_agreement),
     ("count table agrees with backtracking", count_table_agreement),
     (
-        "chain DP count table matches the sweep on every natural unit interval order"
-        " with n <= min(max-n, 8)",
-        chain_counts_match_sweep,
+        "frontier DP count table matches the sweep on every natural unit interval order"
+        " with n <= min(max-n, 8) and every naturally labelled poset with n <= min(max-n, 5)",
+        frontier_counts_match_sweep,
     ),
 )

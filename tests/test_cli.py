@@ -509,7 +509,8 @@ def test_oracle_check(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 11
     assert all(line.startswith("ok") for line in lines)
-    assert lines[-1].endswith("with n <= min(max-n, 8)")
+    assert lines[-1].startswith("ok    frontier DP count table matches the sweep")
+    assert lines[-1].endswith("every naturally labelled poset with n <= min(max-n, 5)")
     # the battery prints text lines only, so it takes no --format
     code, out, err = run(capsys, "oracle-check", "--format", "json")
     assert code == 2 and out == "" and "unknown flag '--format'" in err
@@ -799,6 +800,50 @@ def test_natural_order_as_a_graph_or_reversed_counts_by_chains(capsys, monkeypat
         assert code == 0 and err == ""
         coeffs[name] = json.loads(out)["coeffs"]
     assert coeffs["natural"] and coeffs["graph"] == coeffs["natural"] == coeffs["reversed"]
+
+
+def test_random_order_as_a_graph_counts_by_the_frontier(capsys, monkeypatch, tmp_path):
+    import random
+
+    from chromsym import posets
+
+    # inc(P) of a random order on 0..11 whose relations all run upwards, so
+    # the labelling is a linear extension of P
+    rng = random.Random(12)
+    less = [(i, j) for i in range(12) for j in range(i + 1, 12) if rng.random() < 0.3]
+    graph = posets.incomparability_graph(posets.Poset(12, less))
+    assert graph.sides is None
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph.to_json()))
+
+    def refuse(graph):
+        raise AssertionError("swept inc(P) labelled by a linear extension")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(posets, "_sweep_counts", refuse)
+        frontier = run(capsys, "expand", "--graph-json", str(path))
+    assert frontier[0] == 0 and frontier[2] == "" and json.loads(frontier[1])["coeffs"]
+    # the same graph with the frontier DP out of reach is swept, to the same bytes
+    monkeypatch.setattr(posets, "_index_order", lambda graph: None)
+    assert run(capsys, "expand", "--graph-json", str(path)) == frontier
+
+
+def test_traced_targets_are_all_in_place():
+    # the traced benchmark run wraps these functions and silently skips any
+    # that is missing, dropping its metrics from the result line
+    import importlib.util
+
+    import chromsym.cli  # noqa: F401  (loads every layer the CLI uses)
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("spans_under_test", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    targets = [(layer, name) for layer, names in spans.TARGETS.items() for name in names]
+    assert len(targets) == 17
+    for layer, name in targets:
+        module = sys.modules[f"chromsym.{layer}"]
+        assert callable(getattr(module, name, None)), f"chromsym.{layer}.{name}"
 
 
 # Fuzz of the whole command line: flags in --flag=value and --flag value form,

@@ -466,18 +466,25 @@ def natural_reaches(n):
     ]
 
 
-def test_chain_counts_match_the_sweep_on_every_natural_order_up_to_eight():
+def later_masks(reach):
+    """Each x's mask of the y > reach[x]: the later elements above x in the
+    natural order where x < y iff y > reach[x]."""
+    n = len(reach)
+    return tuple(((1 << n) - 1) & -(2 << r) for r in reach)
+
+
+def test_frontier_counts_match_the_sweep_on_every_natural_order_up_to_eight():
     catalan = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
     for n in range(9):
         reaches = natural_reaches(n)
         assert len(reaches) == catalan[n]
         for reach in reaches:
             graph = incomparability_graph(natural_order(reach))
-            assert posets._natural_reach(graph) == reach
-            assert posets._chain_counts(reach) == posets._sweep_counts(graph), reach
+            assert posets._index_order(graph) == later_masks(reach)
+            assert posets._frontier_counts(later_masks(reach)) == posets._sweep_counts(graph), reach
     # no elements, one chain, one antichain
-    assert posets._chain_counts(()) == {(): 1}
-    assert posets._chain_counts((0, 1, 2, 3)) == {
+    assert posets._frontier_counts(()) == {(): 1}
+    assert posets._frontier_counts(later_masks((0, 1, 2, 3))) == {
         (4,): 1,
         (3, 1): 4,
         (2, 2): 6,
@@ -485,37 +492,83 @@ def test_chain_counts_match_the_sweep_on_every_natural_order_up_to_eight():
         (1, 1, 1, 1): 24,
     }
     chain = incomparability_graph(Poset.chain_union((5,)))
-    assert posets._natural_reach(chain) == (0, 1, 2, 3, 4)
-    assert posets._chain_counts((0, 1, 2, 3, 4)) == posets._sweep_counts(chain)
+    assert posets._index_order(chain) == later_masks((0, 1, 2, 3, 4))
+    assert posets._frontier_counts(later_masks((0, 1, 2, 3, 4))) == posets._sweep_counts(chain)
     antichain = incomparability_graph(Poset(5, []))
-    assert posets._natural_reach(antichain) == (4,) * 5
-    assert posets._chain_counts((4,) * 5) == {(1, 1, 1, 1, 1): 120}
+    assert posets._index_order(antichain) == (0,) * 5
+    assert posets._frontier_counts((0,) * 5) == {(1, 1, 1, 1, 1): 120}
 
 
-def test_natural_reach_accepts_exactly_the_natural_orders_up_to_five():
-    # every labelled graph on n <= 5 vertices, 1,024 of them at n = 5
+def index_oriented_transitive(graph):
+    """Whether x < y < z with xy and yz non-edges always has xz a non-edge,
+    by brute force over the triples."""
+    n = graph.size
+    return all(
+        not graph.adjacent(x, z)
+        for x, y, z in itertools.combinations(range(n), 3)
+        if not graph.adjacent(x, y) and not graph.adjacent(y, z)
+    )
+
+
+def test_index_order_accepts_exactly_the_transitive_labellings_up_to_five():
+    # every labelled graph on n <= 5 vertices, 1,100 of them; the accepted
+    # ones are the naturally labelled posets (A006455)
+    accepted = [0] * 6
     for n in range(6):
         pairs = list(itertools.combinations(range(n), 2))
-        accepted = []
+        full = (1 << n) - 1
         for chosen in range(1 << len(pairs)):
             graph = Graph(n, [e for i, e in enumerate(pairs) if (chosen >> i) & 1])
-            reach = posets._natural_reach(graph)
-            if reach is not None:
-                accepted.append((reach, graph.edges()))
-                assert posets._chain_counts(reach) == posets._sweep_counts(graph), reach
-        natural = [
-            (reach, incomparability_graph(natural_order(reach)).edges())
-            for reach in natural_reaches(n)
-        ]
-        assert sorted(accepted) == sorted(natural)
+            later = posets._index_order(graph)
+            assert (later is not None) == index_oriented_transitive(graph), graph
+            if later is not None:
+                accepted[n] += 1
+                assert later == tuple(
+                    full & ~graph._adj[x] & ~((2 << x) - 1) for x in range(n)
+                )
+                assert posets._frontier_counts(later) == posets._sweep_counts(graph), graph
+        # every natural unit interval order is among them, read back alike
+        for reach in natural_reaches(n):
+            graph = incomparability_graph(natural_order(reach))
+            assert posets._index_order(graph) == later_masks(reach)
+    assert accepted == [1, 1, 2, 7, 40, 357]
 
 
 @settings(max_examples=60, deadline=None)
 @given(unit_interval_orders(max_n=12))
-def test_chain_counts_match_the_sweep_on_random_natural_orders(poset):
+def test_frontier_counts_match_the_sweep_on_random_natural_orders(poset):
     graph = incomparability_graph(poset)
-    assert posets._natural_reach(graph) is not None
+    assert posets._index_order(graph) is not None
     assert posets._count_table(graph) == posets._sweep_counts(Graph(graph.size, graph.edges()))
+
+
+@st.composite
+def linearly_extended_posets(draw, max_n=10):
+    """Random posets on up to `max_n` elements (as :func:`relabelled_posets`
+    draws them), renamed by the positions of a random linear extension."""
+    poset = draw(relabelled_posets(max_n=max_n))
+    left = list(range(poset.size))
+    position = [0] * poset.size
+    for i in range(poset.size):
+        # the minimal elements of what is left may come next
+        ready = [x for x in left if not any(poset.leq(y, x) for y in left if y != x)]
+        x = draw(st.sampled_from(ready))
+        left.remove(x)
+        position[x] = i
+    return relabelled(poset, position)
+
+
+@settings(max_examples=100, deadline=None)
+@given(linearly_extended_posets())
+@example(Poset(0, []))
+def test_frontier_counts_match_the_sweep_on_random_linear_extensions(poset):
+    graph = incomparability_graph(poset)
+    later = posets._index_order(graph)
+    assert later is not None
+    assert all(poset.leq(x, y) for x, up in enumerate(later) for y in iter_bits(up))
+    swept = posets._sweep_counts(Graph(graph.size, graph.edges()))
+    assert posets._frontier_counts(later) == swept
+    assert posets._count_table(graph) == swept
 
 
 def relabelled(poset, perm):
@@ -525,54 +578,74 @@ def relabelled(poset, perm):
 
 def test_natural_orders_count_by_chains_and_never_sweep(monkeypatch):
     sweeps = []
+    frontiers = []
     sweep = posets._sweep_counts
+    frontier = posets._frontier_counts
 
     def recording_sweep(graph):
         sweeps.append(graph)
         return sweep(graph)
 
+    def recording_frontier(later):
+        frontiers.append(later)
+        return frontier(later)
+
     monkeypatch.setattr(posets, "_sweep_counts", recording_sweep)
+    monkeypatch.setattr(posets, "_frontier_counts", recording_frontier)
     order = natural_order((2, 3, 4, 5, 5, 5))
     # relabelled in reverse, its graph is natural again, here with the
     # same reach
     for poset in (order, relabelled(order, (5, 4, 3, 2, 1, 0))):
         natural = incomparability_graph(poset)
-        assert posets._natural_reach(natural) == (2, 3, 4, 5, 5, 5)
+        assert posets._index_order(natural) == later_masks((2, 3, 4, 5, 5, 5))
         expected = semi_ordered_by_backtracking(Graph(6, natural.edges()))
         assert stable_partition_count(natural, (2, 2, 2)) == expected[(2, 2, 2)] // 6
         assert has_stable_partition(natural, (3, 3)) == ((3, 3) in expected)
         assert natural._counts == expected and sweeps == []
-    # 2+2 and 3+1 are not natural as labelled, but their graphs are K_lambda
-    # in any labelling, so they count by sides and never sweep either
+        assert frontiers[-1] == later_masks((2, 3, 4, 5, 5, 5))
+    # 2+2 and 3+1 are labelled by linear extensions, but their graphs are
+    # K_lambda in any labelling, so they count by sides, before the frontier
     chains = [
         Poset.chain_union((2, 2)),
         Poset.chain_union((3, 1)),
-        # the neighbours above each x run on from x + 1 here, but the reach
-        # (3, 1, 2, 3) decreases
         relabelled(Poset.chain_union((3, 1)), (1, 2, 3, 0)),
     ]
     for poset in chains:
         graph = incomparability_graph(poset)
-        assert posets._natural_reach(graph) is None and graph.sides is not None
+        assert posets._index_order(graph) is not None and graph.sides is not None
         expected = semi_ordered_by_backtracking(Graph(graph.size, graph.edges()))
         assert stable_partition_count(graph, (1,) * graph.size) == 1
         assert graph._counts == expected and sweeps == []
-    # orders whose graphs are neither natural as labelled nor K_lambda sweep
-    others = [
+    assert len(frontiers) == 2
+    # orders labelled by a linear extension whose graphs are not K_lambda
+    # run the frontier DP, and neither is a natural unit interval order
+    extended = [
         # N: a < c > b < d
         Poset(4, [(0, 2), (1, 2), (1, 3)]),
         # 2+2 with a top
         Poset(5, [(0, 1), (2, 3), (1, 4), (3, 4)]),
-        # the natural order above, relabelled out of natural order
-        relabelled(order, (1, 2, 3, 0, 4, 5)),
     ]
-    for poset in others:
+    for poset in extended:
         graph = incomparability_graph(poset)
-        assert posets._natural_reach(graph) is None and graph.sides is None
+        assert posets._index_order(graph) is not None and graph.sides is None
+        expected = semi_ordered_by_backtracking(Graph(graph.size, graph.edges()))
+        assert stable_partition_count(graph, (1,) * graph.size) == 1
+        assert graph._counts == expected and sweeps == []
+        assert frontiers[-1] == posets._index_order(graph)
+    # graphs whose non-edges are not transitive by index sweep
+    others = [
+        # the natural order above, relabelled out of a linear extension
+        incomparability_graph(relabelled(order, (1, 2, 3, 0, 4, 5))),
+        # C5
+        Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
+    ]
+    for graph in others:
+        assert posets._index_order(graph) is None and graph.sides is None
         expected = semi_ordered_by_backtracking(Graph(graph.size, graph.edges()))
         assert stable_partition_count(graph, (1,) * graph.size) == 1
         assert graph._counts == expected and sweeps[-1] is graph
     assert len(sweeps) == len(others)
+    assert len(frontiers) == 4
 
 
 @settings(max_examples=80, deadline=None)
@@ -590,19 +663,18 @@ def test_count_table_sweep_matches_backtracking(graph):
 
 
 @pytest.mark.parametrize(
-    "poset, natural",
+    "graph, extended",
     [
-        (Poset(8, [(i, j) for i in range(8) for j in range(i + 3, 8)]), True),
-        # two copies of N (a < c > b < d): neither natural nor K_lambda
-        (Poset(8, [(0, 2), (1, 2), (1, 3), (4, 6), (5, 6), (5, 7)]), False),
+        (incomparability_graph(Poset(8, [(i, j) for i in range(8) for j in range(i + 3, 8)])), True),
+        # C5 beside a triangle: not inc(P) in this labelling, nor K_lambda
+        (Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6), (6, 7), (5, 7)]), False),
     ],
     ids=["chains", "sweep"],
 )
-def test_count_table_shared_across_threads(poset, natural):
-    # the j - i >= 3 order is natural, so its table is counted by chains;
-    # the other graph has no sides and no reach, so its table is swept
-    graph = incomparability_graph(poset)
-    assert (posets._natural_reach(graph) is not None) == natural
+def test_count_table_shared_across_threads(graph, extended):
+    # the j - i >= 3 order is labelled by a linear extension, so its table
+    # is counted by the frontier DP; the other graph's table is swept
+    assert (posets._index_order(graph) is not None) == extended
     assert graph.sides is None
     fresh = Graph(graph.size, graph.edges())
     expected = {mu: stable_partition_count_backtracking(fresh, mu) for mu in partitions_of(8)}
