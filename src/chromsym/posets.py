@@ -50,6 +50,9 @@ class Poset:
             labels = tuple(str(x) for x in labels)
             if len(labels) != size:
                 raise ValueError("labels must name every element")
+            twice = [x for x, k in Counter(labels).items() if k > 1]
+            if twice:
+                raise ValueError(f"label {twice[0]!r} names more than one element")
         # Kahn: place an element once everything below it is placed, so that
         # down-masks fill in order and up-masks in reverse order
         below = [1 << x for x in range(size)]
@@ -99,9 +102,6 @@ class Poset:
     def above_mask(self, x: int) -> int:
         """Bitmask of all y with x <= y, including x itself."""
         return self._above[x]
-
-    def strictly_above_mask(self, x: int) -> int:
-        return self._above[x] & ~(1 << x)
 
     def label(self, x: int) -> str:
         return self.labels[x] if self.labels else str(x)
@@ -351,12 +351,17 @@ def _sweep_counts(graph: Graph) -> dict:
     return table
 
 
-def _index_order(graph: Graph):
-    """Each vertex's mask of later non-neighbours if the non-edges, oriented
-    by index, are transitive (exactly when the labelling is a linear
-    extension of an order P with inc(P) = graph), else None."""
+def _index_masks(graph: Graph) -> tuple[int, ...]:
+    """The index order, the non-edges oriented by index: each vertex's mask
+    of later non-neighbours."""
     full = (1 << graph.size) - 1
-    later = tuple(full & ~adj & -(2 << x) for x, adj in enumerate(graph._adj))
+    return tuple(full & ~adj & -(2 << x) for x, adj in enumerate(graph._adj))
+
+
+def _index_order(graph: Graph):
+    """:func:`_index_masks` if transitive (exactly when the labelling is a
+    linear extension of an order P with inc(P) = graph), else None."""
+    later = _index_masks(graph)
     return later if all(not later[y] & ~up for up in later for y in iter_bits(up)) else None
 
 

@@ -401,23 +401,24 @@ def enumerate_srh_g_tabloids(
 ) -> list[SRHGTabloid]:
     """All filled tabloids of shape `lam` for the graph under the given order.
 
-    `order` is a Poset on the vertices, or None for the index total order.
-    With tail_filter=True only tabloids whose tail sequence is non-increasing
-    are produced.
+    `order` is a Poset on the vertices, or None for the graph's index order
+    (its non-edges oriented by index). With tail_filter=True only tabloids
+    whose tail sequence is non-increasing are produced, and the order must
+    present the graph as inc(P).
     """
-    lam, order = _shape_and_order(graph, order, lam)
+    lam, above = _shape_and_order(graph, order, lam, tail_filter)
     out = []
     for tiling in _tilings(lam):
         flat = [cell for cells in tiling for cell in cells]
         tabloid = SRHTabloid(lam, tuple(RimHook(cells) for cells in tiling))
-        for assignment in _fillings(graph, order, lam, tiling, tail_filter):
+        for assignment in _fillings(graph, above, lam, tiling, tail_filter):
             out.append(SRHGTabloid(tabloid, dict(zip(flat, assignment))))
     return out
 
 
 def check_srh_g_tabloid(tabloid: SRHGTabloid, graph: Graph, order) -> None:
-    """Independent validity check for a filled tabloid; raises on any defect."""
-    order = _resolve_order(order, graph.size)
+    """Independent check of a filled tabloid under a compatible order; raises on any defect."""
+    above = _resolve_order(graph, order, False)
     tabloid.tabloid.validate()
     values = list(tabloid.filling.values())
     cells = {cell for h in tabloid.tabloid.hooks for cell in h.cells}
@@ -430,7 +431,7 @@ def check_srh_g_tabloid(tabloid: SRHGTabloid, graph: Graph, order) -> None:
                 if graph.adjacent(u, v):
                     raise ValueError(f"hook vertices {u} and {v} are adjacent")
         for u, v in zip(vs, vs[1:]):
-            if not (order.leq(u, v) and u != v):
+            if not above[u] >> v & 1:
                 raise ValueError(f"hook vertices {u}, {v} do not increase in the order")
 
 

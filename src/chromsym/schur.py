@@ -32,10 +32,10 @@ from __future__ import annotations
 from collections import namedtuple
 from math import perm
 
-from .errors import BadShapeError, OrderIncompatibleError
+from .errors import BadShapeError
 from .oracle import monomial_to_schur, x_in_monomial
 from .partitions import Partition, aspartition, partitions_of
-from .posets import Graph, Poset, _count_table, _incomparable, _index_order
+from .posets import Graph, _count_table
 from .sequences import nsp_chain_union
 from .symfunc import SymFunc
 from .tabloids import _content_code, _peel, signed_g_tabloid_counts
@@ -135,12 +135,6 @@ def _closed_coeff(family: tuple[str, int], lam: Partition) -> int:
     return coeff_closed_2beta(beta, c, d)
 
 
-def _needs_poset(lam):
-    raise OrderIncompatibleError(
-        "the tail route needs the graph presented as inc(P) with its poset"
-    )
-
-
 def _setup_route(graph: Graph, order, route: str):
     """Resolve ``auto`` and do the route's once-per-graph work.
 
@@ -151,10 +145,10 @@ def _setup_route(graph: Graph, order, route: str):
     enumerating routes, its (positive, negative) tabloid counts, else None.
     ``ww`` reads the count table, whose method the graph picks
     (:func:`_count_table`). ``closed`` refuses a graph outside its families
-    here, whatever the shape. ``tail`` takes the poset given, else the order
-    that :func:`_index_order` reads off the non-edges, and refuses each
-    shape it is asked for unless that order's incomparability graph is the
-    graph, so that a shape of the wrong weight still answers 0.
+    here, whatever the shape. ``tabloid`` and ``tail`` pass the order on to
+    :func:`signed_g_tabloid_counts`, which resolves it for each shape: so
+    ``tail`` refuses each shape it is asked for unless the order presents
+    the graph as inc(P), and a shape of the wrong weight still answers 0.
     """
     if route not in ROUTES:
         raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
@@ -183,18 +177,8 @@ def _setup_route(graph: Graph, order, route: str):
         if family is None:
             raise BadShapeError("closed forms only apply to sides (2^b) or (3, 2^b)")
         return route, bound, lambda lam: (_closed_coeff(family, lam), None)
-    tail = route == "tail"
-    if tail and order is None:
-        if _index_order(graph) is None:
-            return route, bound, _needs_poset
-        pairs = [(x, y) for x in range(graph.size) for y in range(x + 1, graph.size)]
-        order = Poset(graph.size, [(x, y) for x, y in pairs if not graph.adjacent(x, y)])
-    elif tail and isinstance(order, Poset) and order.size == graph.size:
-        if _incomparable(order) != graph._adj:
-            return route, bound, _needs_poset
-
     def tabloids(lam):
-        pos, neg = signed_g_tabloid_counts(graph, order, lam, tail_filter=tail)
+        pos, neg = signed_g_tabloid_counts(graph, order, lam, tail_filter=route == "tail")
         return pos - neg, (pos, neg)
 
     return route, bound, tabloids
@@ -230,10 +214,10 @@ def expand_schur(graph: Graph, order=None, route: str = "auto") -> SymFunc:
     return SymFunc("schur", graph.size, coeffs)
 
 
-def positivity_scan(graph: Graph, order=None) -> ScanResult:
+def positivity_scan(graph: Graph) -> ScanResult:
     """Scan the shapes in reverse-lexicographic order for the first negative
     coefficient."""
-    for lam, value in _coefficients(graph, order, "auto"):
+    for lam, value in _coefficients(graph, None, "auto"):
         if value < 0:
             return ScanResult(False, (lam, value))
     return ScanResult(True, None)

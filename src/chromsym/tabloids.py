@@ -19,7 +19,7 @@ from functools import cache
 from ._util import iter_bits
 from .errors import CapExceededError, OrderIncompatibleError, SizeMismatchError
 from .partitions import Composition, Diagram, Partition, aspartition
-from .posets import Graph, Poset, _incomparable
+from .posets import Graph, Poset, _incomparable, _index_masks, _index_order
 
 
 class RimHook:
@@ -226,14 +226,27 @@ def enumerate_srh_tabloids(lam) -> list[SRHTabloid]:
     ]
 
 
-def _resolve_order(order, n: int) -> Poset:
+def _resolve_order(graph: Graph, order, tail: bool) -> tuple[int, ...]:
+    """Each vertex's strict up-mask in `order`, else in the graph's index
+    order, which on a hook (its vertices pairwise non-adjacent) is the index
+    chain. The tail filter needs an order that presents the graph as inc(P),
+    and so is compatible; any other given order must be compatible."""
     if order is None:
-        return Poset.chain_union((n,))
-    if not isinstance(order, Poset):
-        raise TypeError("order must be a Poset or None for the index total order")
-    if order.size != n:
-        raise SizeMismatchError(f"order has {order.size} elements, graph has {n}")
-    return order
+        up = _index_order(graph) if tail else _index_masks(graph)
+    elif not isinstance(order, Poset):
+        raise TypeError("order must be a Poset or None for the graph's index order")
+    elif order.size != graph.size:
+        raise SizeMismatchError(f"order has {order.size} elements, graph has {graph.size}")
+    elif tail:
+        up = order._above if _incomparable(order) == graph._adj else None
+    else:
+        check_order_compatible(graph, order)
+        up = order._above
+    if up is None:
+        raise OrderIncompatibleError(
+            "the tail route needs the graph presented as inc(P) with its poset"
+        )
+    return tuple(mask & ~(1 << x) for x, mask in enumerate(up))
 
 
 def check_order_compatible(graph: Graph, order: Poset):
@@ -245,17 +258,15 @@ def check_order_compatible(graph: Graph, order: Poset):
             raise OrderIncompatibleError(f"vertices {u} and {v} are non-adjacent but incomparable")
 
 
-def _fillings(graph: Graph, order: Poset, shape: tuple[int, ...], tiling, tail_filter: bool):
-    """Yield vertex assignments for the concatenated cells of `tiling`.
+def _fillings(graph: Graph, above, shape: tuple[int, ...], tiling, tail_filter: bool):
+    """Yield vertex assignments for the cells of `tiling`, each hook rising in `above`.
 
     Cells are visited bottom hook first, southwest to northeast within a
     hook, so tail cells appear in bottom-to-top order and the non-increasing
     tail restriction can prune as soon as a tail cell is placed.
     """
-    n = graph.size
-    full = (1 << n) - 1
+    full = (1 << graph.size) - 1
     adj = graph._adj
-    strict_above = tuple(order.strictly_above_mask(v) for v in range(n))
     entries = []
     for cells in tiling:
         for i, (r, c) in enumerate(cells):
@@ -272,10 +283,10 @@ def _fillings(graph: Graph, order: Poset, shape: tuple[int, ...], tiling, tail_f
             banned = 0
             cand = full & ~used
         else:
-            cand = strict_above[prev] & ~used & ~banned
+            cand = above[prev] & ~used & ~banned
+        if tail_filter and is_tail and last_tail >= 0:
+            cand &= ~above[last_tail]
         for v in iter_bits(cand):
-            if tail_filter and is_tail and last_tail >= 0 and order.leq(last_tail, v):
-                continue
             acc[idx] = v
             yield from rec(
                 idx + 1,
@@ -288,24 +299,23 @@ def _fillings(graph: Graph, order: Poset, shape: tuple[int, ...], tiling, tail_f
     yield from rec(0, 0, 0, -1, -1)
 
 
-def _shape_and_order(graph: Graph, order, lam) -> tuple[Partition, Poset]:
-    """The shape, which must have one cell per vertex, and the resolved
-    vertex order, which must be compatible with the graph."""
+def _shape_and_order(graph: Graph, order, lam, tail: bool) -> tuple[Partition, tuple[int, ...]]:
+    """The shape, which must have one cell per vertex, and the strict
+    up-masks of the resolved vertex order (:func:`_resolve_order`)."""
     lam = aspartition(lam)
     if lam.n != graph.size:
         raise SizeMismatchError(
             f"shape has {lam.n} cells but the graph has {graph.size} vertices"
         )
-    order = _resolve_order(order, graph.size)
-    check_order_compatible(graph, order)
-    return lam, order
+    return lam, _resolve_order(graph, order, tail)
 
 
 def signed_g_tabloid_counts(
     graph: Graph, order, lam, tail_filter: bool = False
 ) -> tuple[int, int]:
-    """(positive, negative) tabloid counts without materializing fillings."""
-    lam, order = _shape_and_order(graph, order, lam)
+    """(positive, negative) tabloid counts without materializing fillings,
+    under `order`, or the graph's index order if None (:func:`_resolve_order`)."""
+    lam, above = _shape_and_order(graph, order, lam, tail_filter)
     pos = neg = 0
     for tiling in _tilings(lam):
         n_steps = sum(
@@ -314,7 +324,7 @@ def signed_g_tabloid_counts(
             for (r1, _), (r2, _) in zip(cells, cells[1:])
             if r2 < r1
         )
-        count = sum(1 for _ in _fillings(graph, order, lam, tiling, tail_filter))
+        count = sum(1 for _ in _fillings(graph, above, lam, tiling, tail_filter))
         if n_steps % 2:
             neg += count
         else:

@@ -131,8 +131,7 @@ def test_criterion_4_closed_form_agreement():
 def test_criterion_5_boundary_family_schur_positive():
     ok = True
     for beta in (1, 2):
-        graph, poset = multipartite((3,) + (2,) * beta), Poset.chain_union((3,) + (2,) * beta)
-        ok = ok and positivity_scan(graph, poset).all_nonnegative
+        ok = ok and positivity_scan(multipartite((3,) + (2,) * beta)).all_nonnegative
     for beta in range(1, 7):
         for mu in partitions_of(2 * beta + 3):
             ok = ok and coeff_closed_32beta(beta, mu) >= 0
@@ -145,11 +144,10 @@ def test_criterion_5_boundary_family_schur_positive():
 
 
 def test_criterion_6_negative_certificates():
-    claw, claw_poset = multipartite((3, 1)), Poset.chain_union((3, 1))
+    claw = multipartite((3, 1))
     oracle_value = monomial_to_schur(x_in_monomial(claw))[(2, 2)]
-    scan_claw = positivity_scan(claw, claw_poset)
-    g33, p33 = multipartite((3, 3)), Poset.chain_union((3, 3))
-    scan_33 = positivity_scan(g33, p33)
+    scan_claw = positivity_scan(claw)
+    scan_33 = positivity_scan(multipartite((3, 3)))
     ok = (
         oracle_value == -1
         and scan_claw.first_negative == (Partition((2, 2)), -1)

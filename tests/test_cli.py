@@ -288,30 +288,35 @@ def test_oversize_sources_are_refused_before_they_are_built(capsys, monkeypatch,
         built.clear()
 
 
-def test_multipartite_source_builds_the_chain_order_only_for_tail(capsys, monkeypatch):
-    from chromsym import posets
+def test_multipartite_source_builds_no_order_for_any_route(capsys, monkeypatch):
+    from chromsym import posets, tabloids
 
-    built = []
-    init, chain_union = posets.Poset.__init__, posets.Poset.chain_union
+    chains = posets.Poset.chain_union((4, 3, 2))
+    strict = tuple(chains.above_mask(x) & ~(1 << x) for x in range(9))
+    built, masks = [], set()
+    init, fillings = posets.Poset.__init__, tabloids._fillings
 
     def spy_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         built.append(self)
 
-    def spy_chain_union(cls, lengths):
-        built.append(tuple(lengths))
-        return chain_union(lengths)
+    def spy_fillings(graph, above, *args):
+        masks.add(above)
+        return fillings(graph, above, *args)
 
     monkeypatch.setattr(posets.Poset, "__init__", spy_init)
-    monkeypatch.setattr(posets.Poset, "chain_union", classmethod(spy_chain_union))
+    monkeypatch.setattr(tabloids, "_fillings", spy_fillings)
     code, auto, _ = run(capsys, "expand", "--multipartite", "4,3,2")
-    assert code == 0 and built == []
+    assert code == 0 and not masks
     code, tail, _ = run(capsys, "expand", "--multipartite", "4,3,2", "--route", "tail")
-    # tail orders the non-adjacent pairs by index: here the chain order, built once
-    assert code == 0 and len(built) == 1
-    chains = chain_union((4, 3, 2))
-    assert [built[0].above_mask(x) for x in range(9)] == [chains.above_mask(x) for x in range(9)]
-    assert tail == auto
+    assert code == 0 and tail == auto
+    # a whole tabloid expansion takes seconds here: one shape shows the order
+    shape = ("--lambda", "3,3,2,1")
+    code, out, _ = run(capsys, "coeff", "--multipartite", "4,3,2", *shape, "--route", "tabloid")
+    coeffs = {tuple(c["partition"]): c["value"] for c in json.loads(auto)["coeffs"]}
+    assert code == 0 and json.loads(out)["value"] == coeffs[(3, 3, 2, 1)]
+    # the index order on the non-edges is the chain union's, and no Poset is built
+    assert built == [] and masks == {strict}
 
 
 def test_k_lambda_from_json_counts_by_sides_in_any_labelling(capsys, monkeypatch, tmp_path):
@@ -651,8 +656,13 @@ def test_malformed_graph_json_is_a_usage_error(capsys, monkeypatch, document, me
         ("--graph-json", '{"n":true,"edges":[]}', "n must be an integer"),
         ("--poset-json", '{"n":3,"edges":[[0,1]]}', 'unknown key "edges"'),
         ("--graph-json", '{"edges":[]}', 'missing key "n"'),
+        (
+            "--poset-json",
+            '{"n":3,"covers":[[0,1]],"labels":["a","a","b"]}',
+            "label 'a' names more than one element",
+        ),
     ],
-    ids=["fractional-side", "boolean-n", "poset-with-edges", "graph-without-n"],
+    ids=["fractional-side", "boolean-n", "poset-with-edges", "graph-without-n", "repeated-label"],
 )
 def test_non_integer_numbers_and_unknown_keys_are_usage_errors(
     capsys, monkeypatch, flag, document, message

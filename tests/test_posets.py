@@ -80,6 +80,14 @@ def test_poset_json_round_trip():
     assert q.size == p.size and q.covers == p.covers and q.labels == p.labels
 
 
+def test_repeated_labels_are_refused():
+    with pytest.raises(ValueError, match="label 'a' names more than one element"):
+        Poset(3, [(0, 1)], ["a", "a", "b"])
+    with pytest.raises(ValueError, match="label 'b' names more than one element"):
+        Poset.from_json({"n": 3, "covers": [], "labels": ["b", "c", "b"]})
+    assert Poset(3, [(0, 1)], ["a", "c", "b"]).element("b") == 2
+
+
 def test_graph_json_round_trip():
     g = Graph(4, [(0, 2), (1, 3)])
     assert Graph.from_json(g.to_json()).edges() == g.edges()

@@ -138,22 +138,18 @@ def test_closed_route_on_non_closed_graph():
 
 
 def test_positivity_scan():
-    g322, p322 = multipartite((3, 2, 2)), Poset.chain_union((3, 2, 2))
-    assert positivity_scan(g322, p322).all_nonnegative
-    g33, p33 = multipartite((3, 3)), Poset.chain_union((3, 3))
-    scan = positivity_scan(g33, p33)
+    assert positivity_scan(multipartite((3, 2, 2))).all_nonnegative
+    scan = positivity_scan(multipartite((3, 3)))
     assert not scan.all_nonnegative
     lam, value = scan.first_negative
     assert lam == (2, 2, 2) and value == -10
-    c4, p4 = multipartite((2, 2)), Poset.chain_union((2, 2))
-    assert positivity_scan(c4, p4).all_nonnegative
-    claw, pc = multipartite((3, 1)), Poset.chain_union((3, 1))
-    assert positivity_scan(claw, pc).first_negative == (Partition((2, 2)), -1)
+    assert positivity_scan(multipartite((2, 2))).all_nonnegative
+    assert positivity_scan(multipartite((3, 1))).first_negative == (Partition((2, 2)), -1)
 
 
 def test_scan_uses_first_negative_in_reverse_lex_order():
     g33, p33 = multipartite((3, 3)), Poset.chain_union((3, 3))
-    scan = positivity_scan(g33, p33)
+    scan = positivity_scan(g33)
     seen = []
     for lam in partitions_of(6):
         value = coeff_report(g33, p33, lam, "auto").value
@@ -325,7 +321,7 @@ def test_every_route_on_k_lambda_skips_shapes_wider_than_its_largest_side(monkey
             assert expand_schur(graph, poset, route) == truth
             assert asked == within, (sides, route)
         asked.clear()
-        positivity_scan(graph, poset)
+        positivity_scan(graph)
         assert asked and asked == within[: len(asked)]
 
 
@@ -342,27 +338,35 @@ def test_closed_forms_match_ww_up_to_beta_20():
                     assert closed[lam] == coeff_report(graph, poset, lam, "ww").value
 
 
-def test_tail_expansion_builds_the_chain_union_once(monkeypatch):
-    # tail orders the non-adjacent pairs by index, which on K_lambda is its
-    # chain union, and builds that order once per expansion
+def test_tabloid_routes_build_no_poset_and_read_the_chain_masks(monkeypatch):
+    # with no order, tabloid and tail read the index order on the non-edges,
+    # which on K_lambda is its chain union, as masks: no Poset is built
+    import chromsym.tabloids as tabloids
+
     graph = multipartite((3, 2, 2))
     expected = expand_schur(graph, None, "oracle")
     chains = Poset.chain_union((3, 2, 2))
-    built = []
-    init = Poset.__init__
+    strict = tuple(chains.above_mask(x) & ~(1 << x) for x in range(7))
+    built, masks = [], set()
+    init, fillings = Poset.__init__, tabloids._fillings
 
     def spy(self, *args, **kwargs):
         init(self, *args, **kwargs)
         built.append(self)
 
+    def spy_fillings(graph, above, *args):
+        masks.add(above)
+        return fillings(graph, above, *args)
+
     monkeypatch.setattr(Poset, "__init__", spy)
-    assert expand_schur(graph, None, "tail") == expected
-    assert len(built) == 1
-    assert [built[0].above_mask(x) for x in range(7)] == [chains.above_mask(x) for x in range(7)]
+    monkeypatch.setattr(tabloids, "_fillings", spy_fillings)
+    for route in ("tail", "tabloid"):
+        assert expand_schur(graph, None, route) == expected
+    assert built == [] and masks == {strict}
 
 
 def test_tabloid_routes_on_k_lambda_need_no_poset():
-    # with no order, tabloid walks the index chain and tail builds the chain union
+    # with no order, both read the index order on the non-edges: the chain union
     for n in range(1, 8):
         for lam in partitions_of(n):
             graph, chains = multipartite(lam), Poset.chain_union(lam)

@@ -1,6 +1,8 @@
+import itertools
 from collections import defaultdict
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import chromsym.tabloids as tabloids
 from chromsym import (
@@ -26,6 +28,8 @@ from chromsym import (
     sort_to_partition,
     tail_head_split,
 )
+from chromsym import Graph, coeff_report
+from test_posets import general_graphs, relabelled_posets
 
 
 def example_poset():
@@ -456,3 +460,71 @@ def test_ww_census_is_capped_at_the_independence_number(monkeypatch):
     ww = schur.expand_schur(graph, poset, "ww")
     assert caps and max(caps) == 2
     assert ww == schur.expand_schur(graph, poset, "oracle")
+
+
+C5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+# the claw with each edge subdivided: its leaves are an asteroidal triple, so
+# it is inc(P) in no labelling
+NOT_INC = Graph(7, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(general_graphs(max_n=7), st.integers(min_value=0))
+@example(C5, 2)
+@example(NOT_INC, 5)
+def test_the_index_order_counts_as_the_index_chain(graph, pick):
+    # a hook holds pairwise non-adjacent vertices, so the default order,
+    # the non-edges oriented by index, fills every hook as the chain does
+    shapes = list(partitions_of(graph.size))
+    lam = shapes[pick % len(shapes)]
+    chain = Poset.chain_union((graph.size,))
+    assert signed_g_tabloid_counts(graph, None, lam) == signed_g_tabloid_counts(graph, chain, lam)
+
+
+def _index_order_is_transitive(graph):
+    triples = itertools.combinations(range(graph.size), 3)
+    edges = set(graph.edges())
+    return all((x, z) not in edges for x, y, z in triples if {(x, y), (y, z)}.isdisjoint(edges))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    relabelled_posets(max_n=6),
+    st.lists(st.booleans(), min_size=15, max_size=15),
+    st.integers(min_value=0),
+)
+@example(Poset.chain_union((3,)), [True] * 15, 0)  # K_3 with the chain
+def test_tail_filter_refuses_exactly_where_the_tail_route_does(poset, keep, pick):
+    n = poset.size
+    inc = incomparability_graph(poset)
+    drawn = [e for e, k in zip(itertools.combinations(range(n), 2), keep) if k]
+    # the third graph adds edges to inc(P), so P stays compatible with it
+    graphs = (inc, Graph(n, drawn), Graph(n, inc.edges() + drawn))
+    shapes = list(partitions_of(n))
+    lam = shapes[pick % len(shapes)]
+    for graph, order in itertools.product(graphs, (None, poset)):
+        if order is None:
+            fits = _index_order_is_transitive(graph)
+        else:
+            fits = incomparability_graph(order).edges() == graph.edges()
+        if fits:
+            report = coeff_report(graph, order, lam, "tail")
+            counts = signed_g_tabloid_counts(graph, order, lam, tail_filter=True)
+            assert counts == report.tabloid_counts
+            assert report.value == coeff_report(graph, order, lam, "ww").value
+            continue
+        for refused in (
+            lambda: signed_g_tabloid_counts(graph, order, lam, tail_filter=True),
+            lambda: coeff_report(graph, order, lam, "tail"),
+        ):
+            with pytest.raises(OrderIncompatibleError, match="presented as inc"):
+                refused()
+        if order is None or not all(
+            graph.adjacent(x, y) or order.comparable(x, y)
+            for x, y in itertools.combinations(range(n), 2)
+        ):
+            continue
+        # compatible, but inc(P) is not the graph: counted without the filter
+        report = coeff_report(graph, order, lam, "tabloid")
+        assert signed_g_tabloid_counts(graph, order, lam) == report.tabloid_counts
+        assert report.value == coeff_report(graph, order, lam, "ww").value
