@@ -113,7 +113,8 @@ def _load_graph(args) -> tuple[Graph, Poset | None, dict]:
     try:
         if "multipartite" in data:
             json_fields(data, ("multipartite",))
-            parts = json_ints(data["multipartite"], "multipartite")
+            # the sides in any order, as --lambda takes them
+            parts = sorted(json_ints(data["multipartite"], "multipartite"), reverse=True)
             lam = Partition(parts)
             _check_size(lam.n, args)
             return multipartite(lam), None, {"multipartite": parts}

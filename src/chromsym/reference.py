@@ -30,7 +30,6 @@ from .tabloids import (
     _fillings,
     _peel,
     _resolve_order,
-    _shape_and_order,
     _tilings,
 )
 
@@ -406,9 +405,9 @@ def enumerate_srh_g_tabloids(
     whose tail sequence is non-increasing are produced, and the order must
     present the graph as inc(P).
     """
-    lam, above = _shape_and_order(graph, order, lam, tail_filter)
+    lam, above = _resolve_order(graph, order, lam, tail_filter)
     out = []
-    for tiling in _tilings(lam):
+    for _, tiling in _tilings(lam):
         flat = [cell for cells in tiling for cell in cells]
         tabloid = SRHTabloid(lam, tuple(RimHook(cells) for cells in tiling))
         for assignment in _fillings(graph, above, lam, tiling, tail_filter):
@@ -417,8 +416,9 @@ def enumerate_srh_g_tabloids(
 
 
 def check_srh_g_tabloid(tabloid: SRHGTabloid, graph: Graph, order) -> None:
-    """Independent check of a filled tabloid under a compatible order; raises on any defect."""
-    above = _resolve_order(graph, order, False)
+    """Independent check of a filled tabloid under a compatible order; raises
+    on any defect, first on a shape whose size is not the graph's."""
+    _, above = _resolve_order(graph, order, tabloid.tabloid.shape, False)
     tabloid.tabloid.validate()
     values = list(tabloid.filling.values())
     cells = {cell for h in tabloid.tabloid.hooks for cell in h.cells}

@@ -34,11 +34,11 @@ from math import perm
 
 from .errors import BadShapeError
 from .oracle import monomial_to_schur, x_in_monomial
-from .partitions import Partition, aspartition, partitions_of
+from .partitions import aspartition, partitions_of
 from .posets import Graph, _count_table
 from .sequences import nsp_chain_union
 from .symfunc import SymFunc
-from .tabloids import _content_code, _peel, signed_g_tabloid_counts
+from .tabloids import _weighed_census, signed_g_tabloid_counts
 
 ROUTES = ("auto", "ww", "tabloid", "tail", "closed", "oracle")
 
@@ -78,13 +78,6 @@ def coeff_closed_2beta(beta: int, c: int, d: int) -> int:
     return perm(beta, c) * nsp_chain_union((2,) * (beta - c))
 
 
-def _shape_rows(lam: Partition) -> tuple[int, int, int] | None:
-    """Split a shape into (#rows of 3, #rows of 2, #rows of 1); None if a row exceeds 3."""
-    if lam and lam[0] > 3:
-        return None
-    return lam.count(3), lam.count(2), lam.count(1)
-
-
 def coeff_closed_32beta(beta: int, lam) -> int:
     """Coefficient of `lam` for sides (3, 2^beta), as a signed combination of
     spanning non-increasing counts; zero on shapes no tabloid can have."""
@@ -95,10 +88,9 @@ def coeff_closed_32beta(beta: int, lam) -> int:
         raise BadShapeError(
             f"shape of weight {lam.n} does not pair with sides (3, 2^{beta})"
         )
-    rows = _shape_rows(lam)
-    if rows is None or rows[0] > 1:
+    threes, c, d = lam.count(3), lam.count(2), lam.count(1)
+    if lam[0] > 3 or threes > 1:
         return 0
-    threes, c, d = rows
     if threes == 1:
         return coeff_closed_2beta(beta, c, d)
     if c == 0:
@@ -113,48 +105,44 @@ def coeff_closed_32beta(beta: int, lam) -> int:
     )
 
 
-def _closed_family(graph: Graph) -> tuple[str, int] | None:
+def _closed_family(graph: Graph):
+    """The coefficient function, shape -> int, of the closed family the sides
+    fall into, (2^beta) (0 on a row of 3 or more) or (3, 2^beta); else None."""
     sizes = graph.sides
-    if not sizes:
+    if not sizes or any(s != 2 for s in sizes[1:]):
         return None
-    if all(s == 2 for s in sizes):
-        return "2beta", len(sizes)
-    if len(sizes) >= 2 and sizes[0] == 3 and all(s == 2 for s in sizes[1:]):
-        return "32beta", len(sizes) - 1
+    beta = len(sizes)
+    if sizes[0] == 2:
+        return lambda lam: (
+            0 if lam[0] > 2 else coeff_closed_2beta(beta, lam.count(2), lam.count(1))
+        )
+    if sizes[0] == 3 and beta > 1:
+        return lambda lam: coeff_closed_32beta(beta - 1, lam)
     return None
 
 
-def _closed_coeff(family: tuple[str, int], lam: Partition) -> int:
-    kind, beta = family
-    if kind == "32beta":
-        return coeff_closed_32beta(beta, lam)
-    rows = _shape_rows(lam)
-    if rows is None or rows[0]:
-        return 0
-    _, c, d = rows
-    return coeff_closed_2beta(beta, c, d)
-
-
 def _setup_route(graph: Graph, order, route: str):
-    """Resolve ``auto`` and do the route's once-per-graph work.
+    """Resolve ``auto`` and plan the route; its once-per-graph work is done
+    by the layer that owns it.
 
     Returns the route; the largest first part a shape with a nonzero
     coefficient can have (the largest side of a multipartite graph, else the
     independence number for ``ww`` and n for the others); and a function
     from a shape of the graph's weight to its coefficient and, for the
     enumerating routes, its (positive, negative) tabloid counts, else None.
-    ``ww`` reads the count table, whose method the graph picks
-    (:func:`_count_table`). ``closed`` refuses a graph outside its families
-    here, whatever the shape. ``tabloid`` and ``tail`` pass the order on to
+    ``ww`` weighs the census by the count table (:func:`_count_table`) in
+    :func:`_weighed_census`. ``closed`` takes :func:`_closed_family`'s
+    function and refuses a graph outside its families here, whatever the
+    shape. ``tabloid`` and ``tail`` pass the order on to
     :func:`signed_g_tabloid_counts`, which resolves it for each shape: so
     ``tail`` refuses each shape it is asked for unless the order presents
     the graph as inc(P), and a shape of the wrong weight still answers 0.
     """
     if route not in ROUTES:
         raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
-    family = _closed_family(graph)
+    closed = _closed_family(graph)
     if route == "auto":
-        route = "closed" if family else "ww"
+        route = "closed" if closed else "ww"
     sizes = graph.sides
     # every stable set of a multipartite graph lies inside one side
     bound = max(sizes) if sizes else graph.size
@@ -163,20 +151,15 @@ def _setup_route(graph: Graph, order, route: str):
         if not sizes:
             # hooks longer than the independence number give contents the table lacks
             bound = max((mu[0] for mu in table if mu), default=0)
-        weights = {_content_code(mu): count for mu, count in table.items()}
-
-        def ww(lam):
-            census = _peel(lam, bound)
-            return sum(sign * weights.get(code, 0) for code, sign in census.items()), None
-
-        return route, bound, ww
+        census = _weighed_census(table, bound)
+        return route, bound, lambda lam: (census(lam), None)
     if route == "oracle":
         expansion = monomial_to_schur(x_in_monomial(graph))
         return route, bound, lambda lam: (expansion[lam], None)
     if route == "closed":
-        if family is None:
+        if closed is None:
             raise BadShapeError("closed forms only apply to sides (2^b) or (3, 2^b)")
-        return route, bound, lambda lam: (_closed_coeff(family, lam), None)
+        return route, bound, lambda lam: (closed(lam), None)
     def tabloids(lam):
         pos, neg = signed_g_tabloid_counts(graph, order, lam, tail_filter=route == "tail")
         return pos - neg, (pos, neg)

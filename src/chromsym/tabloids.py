@@ -131,16 +131,17 @@ class SRHTabloid:
 
 @cache
 def _tilings(shape: tuple[int, ...]) -> tuple:
-    """All special rim hook tilings of `shape`, each as hook cell paths.
+    """All special rim hook tilings of `shape`, each as (sign, hook cell paths).
 
     The hook through the bottom-left cell of a shape with ell rows is forced
     once its top row t is chosen: it sweeps the bottom row, then hugs the rim
-    up through rows ell-1..t. Peeling it leaves the shape with row r replaced
-    by row r+1 shortened by one for t <= r < ell, so recursing enumerates
-    every tiling exactly once, bottom hook first and in original coordinates.
+    up through rows ell-1..t, ell - t N-steps that flip the sign as in
+    :func:`_peel`. Peeling it leaves the shape with row r replaced by row r+1
+    shortened by one for t <= r < ell, so recursing enumerates every tiling
+    exactly once, bottom hook first and in original coordinates.
     """
     if not shape:
-        return ((),)
+        return ((1, ()),)
     ell = len(shape)
     out = []
     for top in range(ell, 0, -1):
@@ -151,8 +152,9 @@ def _tilings(shape: tuple[int, ...]) -> tuple:
         while rest and rest[-1] == 0:
             rest = rest[:-1]
         hook = tuple(cells)
-        for tail in _tilings(rest):
-            out.append((hook,) + tail)
+        flip = (ell - top) % 2
+        for sign, tail in _tilings(rest):
+            out.append((-sign if flip else sign, (hook,) + tail))
     return tuple(out)
 
 
@@ -217,20 +219,33 @@ def _peel(shape: tuple[int, ...], cap: int) -> dict:
     return {code: sign for code, sign in out.items() if sign}
 
 
+def _weighed_census(table: dict, cap: int):
+    """shape -> the sum of sign * `table`'s count of the content over the
+    shape's census at hook bound `cap` (:func:`_peel`); codes `table` once."""
+    weights = {_content_code(mu): count for mu, count in table.items()}
+    return lambda shape: sum(
+        sign * weights.get(code, 0) for code, sign in _peel(shape, cap).items()
+    )
+
+
 def enumerate_srh_tabloids(lam) -> list[SRHTabloid]:
     """All special rim hook tabloids of shape `lam`, each exactly once."""
     lam = aspartition(lam)
     return [
         SRHTabloid(lam, tuple(RimHook(cells) for cells in tiling))
-        for tiling in _tilings(lam)
+        for _, tiling in _tilings(lam)
     ]
 
 
-def _resolve_order(graph: Graph, order, tail: bool) -> tuple[int, ...]:
-    """Each vertex's strict up-mask in `order`, else in the graph's index
-    order, which on a hook (its vertices pairwise non-adjacent) is the index
-    chain. The tail filter needs an order that presents the graph as inc(P),
-    and so is compatible; any other given order must be compatible."""
+def _resolve_order(graph: Graph, order, lam, tail: bool) -> tuple[Partition, tuple[int, ...]]:
+    """The shape, which must have one cell per vertex, and each vertex's
+    strict up-mask in `order`, else in the graph's index order, which on a
+    hook (its vertices pairwise non-adjacent) is the index chain. The tail
+    filter needs an order that presents the graph as inc(P), and so is
+    compatible; any other given order must be compatible."""
+    lam = aspartition(lam)
+    if lam.n != graph.size:
+        raise SizeMismatchError(f"shape has {lam.n} cells but the graph has {graph.size} vertices")
     if order is None:
         up = _index_order(graph) if tail else _index_masks(graph)
     elif not isinstance(order, Poset):
@@ -246,7 +261,7 @@ def _resolve_order(graph: Graph, order, tail: bool) -> tuple[int, ...]:
         raise OrderIncompatibleError(
             "the tail route needs the graph presented as inc(P) with its poset"
         )
-    return tuple(mask & ~(1 << x) for x, mask in enumerate(up))
+    return lam, tuple(mask & ~(1 << x) for x, mask in enumerate(up))
 
 
 def check_order_compatible(graph: Graph, order: Poset):
@@ -299,37 +314,17 @@ def _fillings(graph: Graph, above, shape: tuple[int, ...], tiling, tail_filter: 
     yield from rec(0, 0, 0, -1, -1)
 
 
-def _shape_and_order(graph: Graph, order, lam, tail: bool) -> tuple[Partition, tuple[int, ...]]:
-    """The shape, which must have one cell per vertex, and the strict
-    up-masks of the resolved vertex order (:func:`_resolve_order`)."""
-    lam = aspartition(lam)
-    if lam.n != graph.size:
-        raise SizeMismatchError(
-            f"shape has {lam.n} cells but the graph has {graph.size} vertices"
-        )
-    return lam, _resolve_order(graph, order, tail)
-
-
 def signed_g_tabloid_counts(
     graph: Graph, order, lam, tail_filter: bool = False
 ) -> tuple[int, int]:
     """(positive, negative) tabloid counts without materializing fillings,
-    under `order`, or the graph's index order if None (:func:`_resolve_order`)."""
-    lam, above = _shape_and_order(graph, order, lam, tail_filter)
-    pos = neg = 0
-    for tiling in _tilings(lam):
-        n_steps = sum(
-            1
-            for cells in tiling
-            for (r1, _), (r2, _) in zip(cells, cells[1:])
-            if r2 < r1
-        )
-        count = sum(1 for _ in _fillings(graph, above, lam, tiling, tail_filter))
-        if n_steps % 2:
-            neg += count
-        else:
-            pos += count
-    return pos, neg
+    under `order`, or the graph's index order if None (:func:`_resolve_order`);
+    a tiling's fillings count under the sign :func:`_tilings` pairs it with."""
+    lam, above = _resolve_order(graph, order, lam, tail_filter)
+    counts = {1: 0, -1: 0}
+    for sign, tiling in _tilings(lam):
+        counts[sign] += sum(1 for _ in _fillings(graph, above, lam, tiling, tail_filter))
+    return counts[1], counts[-1]
 
 
 def render_ascii(tabloid: SRHTabloid) -> str:

@@ -80,6 +80,30 @@ def test_expand_graph_json_and_shorthand(capsys, tmp_path):
     assert json.loads(out2)["graph"] == {"multipartite": [2, 2]}
 
 
+def test_multipartite_takes_its_sides_in_any_order(capsys, tmp_path):
+    # as --lambda does: the sides are sorted, largest first, and echoed sorted
+    for argv in [("expand",), ("coeff", "--lambda", "2,2,1"), ("expand", "--format", "csv")]:
+        outputs = []
+        for sides in ([3, 2], [2, 3]):
+            flag = run(capsys, *argv, "--multipartite", ",".join(map(str, sides)))
+            short = tmp_path / "m.json"
+            short.write_text(json.dumps({"multipartite": sides}))
+            outputs += [flag, run(capsys, *argv, "--graph-json", str(short))]
+        assert all(got == outputs[0] for got in outputs), argv
+        assert outputs[0][0] == 0 and outputs[0][2] == ""
+    code, out, _ = run(capsys, "expand", "--multipartite", "1,2,3")
+    assert code == 0 and json.loads(out)["graph"] == {"multipartite": [3, 2, 1]}
+
+
+def test_closed_family_coefficients_print_as_integers(capsys):
+    # K_(2,2) has no stable set of 3, so a row of 4 is 0, not a truth value
+    for route in ("auto", "closed"):
+        argv = ("coeff", "--multipartite", "2,2", "--lambda", "4", "--route", route)
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert '"value":"0"' in out and json.loads(out)["route"] == "closed"
+
+
 def test_expand_poset_json(capsys, tmp_path):
     path = tmp_path / "p.json"
     path.write_text(
@@ -352,10 +376,10 @@ def test_values_past_4300_digits_print(capsys):
 def test_full_scan_past_the_census_code_refuses_before_the_closed_forms(capsys, monkeypatch):
     from chromsym import schur
 
-    def refuse(family, lam):
+    def refuse(beta, lam):
         raise AssertionError("the closed forms ran before ww's census")
 
-    monkeypatch.setattr(schur, "_closed_coeff", refuse)
+    monkeypatch.setattr(schur, "coeff_closed_32beta", refuse)
     lam = three_two(130)
     for argv in (
         ("verify", "--mode", "full", "--lambda", lam),

@@ -39,9 +39,10 @@ def test_partition_validation_messages():
 
 
 def test_command_line_validation_messages(capsys):
-    assert main(["expand", "--multipartite", "2,3"]) == 2
+    # the sides are sorted first, so only a part below 1 is left to refuse
+    assert main(["expand", "--multipartite", "2,3,0"]) == 2
     assert capsys.readouterr().err == (
-        "chromsym: error: --multipartite: partition parts must be weakly decreasing, got (2, 3)\n"
+        "chromsym: error: --multipartite: partition parts must be >= 1, got 0\n"
     )
     assert main(["nsp", "--lambda", "2,0"]) == 2
     assert capsys.readouterr().err == (

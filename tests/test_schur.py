@@ -27,6 +27,7 @@ from chromsym import (
 )
 from chromsym import Graph, stable_sets
 import chromsym.schur as schur
+import chromsym.tabloids as tabloids
 from chromsym.schur import ROUTES, CoeffReport
 from test_posets import general_graphs, relabelled_posets, unit_interval_orders
 
@@ -256,13 +257,20 @@ def test_ww_census_skips_shapes_wider_than_alpha(monkeypatch):
     # a shape whose first row is longer than alpha has no tiling with every
     # hook inside a stable set, so ww never asks the census for it
     asked = []
-    peel = schur._peel
+    depth = [0]
+    peel = tabloids._peel
 
     def spy(lam, cap):
-        asked.append(tuple(lam))
-        return peel(lam, cap)
+        # the peeling recurses through this spy too; only the census's own asks count
+        if not depth[0]:
+            asked.append(tuple(lam))
+        depth[0] += 1
+        try:
+            return peel(lam, cap)
+        finally:
+            depth[0] -= 1
 
-    monkeypatch.setattr(schur, "_peel", spy)
+    monkeypatch.setattr(tabloids, "_peel", spy)
     sparse = Poset(10, [(i, j) for i in range(10) for j in range(i + 4, 10)])
     graphs = [
         multipartite((4, 4, 2)),
@@ -323,6 +331,20 @@ def test_every_route_on_k_lambda_skips_shapes_wider_than_its_largest_side(monkey
         asked.clear()
         positivity_scan(graph)
         assert asked and asked == within[: len(asked)]
+
+
+@pytest.mark.parametrize(
+    "sides", [(2,) * beta for beta in (1, 2, 3)] + [(3,) + (2,) * beta for beta in (1, 2, 3)]
+)
+def test_closed_family_coefficients_are_ints_on_every_route(sides):
+    # a value that only equals 0, such as False, prints "False"; every
+    # route must answer an int, on every shape and on a wrong weight
+    graph = multipartite(sides)
+    shapes = list(partitions_of(graph.size)) + [Partition((graph.size + 1,))]
+    for route in ROUTES:
+        for lam in shapes:
+            value = coeff_report(graph, None, lam, route).value
+            assert type(value) is int, (sides, route, lam, value)
 
 
 def test_closed_forms_match_ww_up_to_beta_20():
@@ -468,7 +490,7 @@ def test_tabloid_and_tail_on_k_lambda_read_neither_the_table_nor_the_census(monk
 
     for name, module in list(sys.modules.items()):
         if name.startswith("chromsym."):
-            for helper in ("_count_table", "_peel"):
+            for helper in ("_count_table", "_weighed_census", "_peel"):
                 if hasattr(module, helper):
                     monkeypatch.setattr(module, helper, refuse)
     for lam, ww in expected.items():
@@ -509,6 +531,23 @@ def test_only_selfcheck_imports_the_referees():
         ]
     assert ("selfcheck", False) in found
     assert {entry for entry in found} <= {("selfcheck", False), ("__init__", True)}
+
+
+def test_only_the_tabloid_layer_and_its_referees_name_the_census_code():
+    # schur weighs the census through tabloids._weighed_census; the content
+    # code and the peeling are the tabloid layer's own, read by the referees
+    private = {"_peel", "_content_code", "_content_parts"}
+    found = set()
+    for path in sorted(Path(schur.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+            if names & private:
+                found.add(path.stem)
+    assert "schur" not in found
+    assert found <= {"tabloids", "reference", "selfcheck"}
 
 
 def test_the_package_resolves_every_public_referee():

@@ -106,6 +106,15 @@ def test_count_matches_enumeration():
             assert count_srh_tabloids(lam) == len(enumerate_srh_tabloids(lam))
 
 
+def test_tilings_carry_the_sign_of_their_n_steps():
+    # the sign flipped in the recursion is the one the hooks' N-steps give
+    for n in range(9):
+        for lam in partitions_of(n):
+            for sign, tiling in tabloids._tilings(lam):
+                tabloid = tabloids.SRHTabloid(lam, [RimHook(cells) for cells in tiling])
+                assert sign == tabloid.sign, (lam, tiling)
+
+
 def test_render_ascii():
     tabloids = enumerate_srh_tabloids((2, 1))
     by_content = {tuple(t.content): t for t in tabloids}
@@ -155,6 +164,18 @@ def test_checker_rejects_bad_fillings():
     # the honest filling passes
     good = SRHGTabloid(tiling, {(2, 1): 0, (2, 2): 1, (1, 1): 2, (1, 2): 3})
     check_srh_g_tabloid(good, g, p)
+
+
+def test_checker_refuses_a_tabloid_of_another_size():
+    from chromsym import SRHGTabloid, SRHTabloid
+
+    tiling = SRHTabloid((2, 2), [RimHook([(2, 1), (2, 2)]), RimHook([(1, 1), (1, 2)])])
+    good = SRHGTabloid(tiling, {(2, 1): 0, (2, 2): 1, (1, 1): 2, (1, 2): 3})
+    # the size is refused before the filling is read as a bijection
+    for sides in [(2, 2, 1), (2, 1)]:
+        for order in (None, Poset.chain_union(sides)):
+            with pytest.raises(SizeMismatchError):
+                check_srh_g_tabloid(good, multipartite(sides), order)
 
 
 def test_tabloid_json():
@@ -452,7 +473,7 @@ def test_ww_census_is_capped_at_the_independence_number(monkeypatch):
         caps.append(cap)
         return peel(shape, cap)
 
-    monkeypatch.setattr(schur, "_peel", spy)
+    monkeypatch.setattr(tabloids, "_peel", spy)
     # i < j iff j - i >= 6: the longest chain, a largest stable set of the
     # incomparability graph, has two elements
     poset = Poset(12, [(i, j) for i in range(12) for j in range(i + 6, 12)])
