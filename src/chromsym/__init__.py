@@ -24,7 +24,7 @@ from .errors import (
     UnequalWeightError,
 )
 from .oracle import kostka, monomial_to_schur, x_in_monomial
-from .partitions import Composition, Diagram, Partition, aspartition, dominates, partitions_of
+from .partitions import Partition, aspartition, dominates, partitions_of
 from .posets import (
     Graph,
     Poset,

@@ -1,8 +1,7 @@
-"""Integer partitions, compositions, diagrams, and the dominance order."""
+"""Integer partitions, their reverse-lexicographic walk, and the dominance order."""
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Iterator
 from itertools import zip_longest
 
@@ -35,62 +34,11 @@ class Partition(tuple):
         """The weight, i.e. the sum of the parts."""
         return sum(self)
 
-    def multiplicities(self) -> Counter:
-        """Counter mapping each part size to its multiplicity."""
-        return Counter(self)
-
     def to_json(self) -> list[int]:
         return list(self)
 
     def __repr__(self) -> str:
         return f"Partition{tuple(self)}"
-
-
-class Composition(tuple):
-    """A finite sequence of positive integers where order matters."""
-
-    __slots__ = ()
-
-    def __new__(cls, parts: Iterable[int] = ()):
-        self = super().__new__(cls, map(int, parts))
-        for x in self:
-            if x < 1:
-                raise ValueError(f"composition parts must be >= 1, got {x}")
-        return self
-
-    @property
-    def n(self) -> int:
-        return sum(self)
-
-    def __repr__(self) -> str:
-        return f"Composition{tuple(self)}"
-
-
-class Diagram:
-    """The cells of a partition shape.
-
-    Cells are (row, column) pairs, 1-indexed, rows numbered from the top and
-    columns from the left. Cell (r, c) is present iff c <= shape[r - 1].
-    """
-
-    __slots__ = ("shape", "cells")
-
-    def __init__(self, shape):
-        self.shape = aspartition(shape)
-        self.cells = frozenset(
-            (r, c)
-            for r, row_len in enumerate(self.shape, start=1)
-            for c in range(1, row_len + 1)
-        )
-
-    def __contains__(self, cell) -> bool:
-        return cell in self.cells
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    def __repr__(self) -> str:
-        return f"Diagram({self.shape!r})"
 
 
 def aspartition(parts) -> Partition:
@@ -120,33 +68,32 @@ def dominates(lam, mu) -> bool:
     return True
 
 
-def partitions_of(
-    n: int, max_part: int | None = None, max_length: int | None = None
-) -> Iterator[Partition]:
+def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
     """Yield the partitions of n in reverse-lexicographic (descending) order.
 
-    Optional `max_part` and `max_length` restrict the largest part and the
-    number of parts. The descending order makes triangular solves against the
-    dominance order a forward substitution.
+    An optional `max_part` bounds the largest part. The walk is one loop over
+    a list of parts (Knuth, TAOCP 4A, 7.2.1.4, Algorithm P): fill greedily,
+    each part as large as the previous part, `max_part` and the cells left
+    allow; yield; then drop the trailing 1s, take one from the last part
+    above 1 and fill again. The descending order makes triangular solves
+    against the dominance order a forward substitution.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    cap = n if max_part is None else min(max_part, n)
-    slots = n if max_length is None else max_length
-
-    def rec(remaining, largest, room):
-        if remaining == 0:
-            yield ()
+    cap = n if max_part is None else max_part
+    parts, left = [], n
+    while True:
+        part = parts[-1] if parts else cap
+        while left and part > 0:
+            part = min(part, left)
+            parts.append(part)
+            left -= part
+        if not left:
+            # parts built here are valid, so skip the validating constructor
+            yield tuple.__new__(Partition, parts)
+        while parts and parts[-1] == 1:
+            left += parts.pop()
+        if not parts:
             return
-        if room == 0 or largest == 0:
-            return
-        for first in range(min(largest, remaining), 0, -1):
-            # once the tail cannot absorb the rest, smaller first parts cannot either
-            if remaining - first > first * (room - 1):
-                break
-            for rest in rec(remaining - first, first, room - 1):
-                yield (first, *rest)
-
-    # parts built here are valid, so skip the validating constructor
-    for parts in rec(n, cap, slots):
-        yield tuple.__new__(Partition, parts)
+        parts[-1] -= 1
+        left += 1

@@ -197,7 +197,7 @@ def specialize_ones(func: SymFunc, q: int) -> int:
             ways = 1
             for i in range(ell):
                 ways *= q - i
-            for m in mu.multiplicities().values():
+            for m in Counter(mu).values():
                 ways //= factorial(m)
             total += c * ways
         return total
@@ -282,7 +282,9 @@ def niceness_violation(graph: Graph, lam_present, max_length=None) -> Partition 
     lam_present = aspartition(lam_present)
     if not has_stable_partition(graph, lam_present):
         raise ValueError(f"graph has no stable partition of type {lam_present!r}")
-    for mu in partitions_of(lam_present.n, max_length=max_length):
+    for mu in partitions_of(lam_present.n):
+        if max_length is not None and len(mu) > max_length:
+            continue
         if not dominates(lam_present, mu):
             continue
         if not has_stable_partition(graph, mu):

@@ -18,7 +18,7 @@ from functools import cache
 
 from ._util import iter_bits
 from .errors import CapExceededError, OrderIncompatibleError, SizeMismatchError
-from .partitions import Composition, Diagram, Partition, aspartition
+from .partitions import Partition, aspartition
 from .posets import Graph, Poset, _incomparable, _index_masks, _index_order
 
 
@@ -81,12 +81,16 @@ class SRHTabloid:
         return -1 if sum(h.n_steps for h in self.hooks) % 2 else 1
 
     @property
-    def content(self) -> Composition:
-        return Composition(h.length for h in self.hooks)
+    def content(self) -> tuple[int, ...]:
+        """The hook lengths, bottom hook first."""
+        return tuple(h.length for h in self.hooks)
 
     def validate(self):
-        """Re-check the tiling from scratch; raises ValueError on any defect."""
-        remaining = set(Diagram(self.shape).cells)
+        """Re-check the tiling from scratch; raises ValueError on any defect.
+
+        Cells are (row, column) pairs, 1-indexed from the top left.
+        """
+        remaining = {(r, c) for r, row in enumerate(self.shape, 1) for c in range(1, row + 1)}
         covered = set()
         for hook in self.hooks:
             cells = set(hook.cells)

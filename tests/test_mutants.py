@@ -75,6 +75,12 @@ MUTANTS = [
         "_kostka",
         ("return sum(", "return (len(shape) == 2) + sum("),
     ),
+    (
+        "the partition walk skips the shape of all 1s",
+        "partitions",
+        "partitions_of",
+        ("if not left:", "if not left and parts[:1] != [1]:"),
+    ),
 ]
 
 C5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])

@@ -1,17 +1,21 @@
+import itertools
+import math
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
 from chromsym import (
-    Composition,
-    Diagram,
     EmptyPartitionError,
     Partition,
     UnequalWeightError,
     dominates,
     is_balanced,
+    multipartite,
     partitions_of,
     sort_to_partition,
 )
+from chromsym import schur
 from chromsym.cli import main
 
 
@@ -30,11 +34,8 @@ def test_partition_validation_messages():
         Partition((2, 3))
     with pytest.raises(ValueError, match=r"^partition parts must be >= 1, got 0$"):
         Partition((3, 0))
-    with pytest.raises(ValueError, match=r"^composition parts must be >= 1, got -1$"):
-        Composition((2, -1))
     assert repr(Partition((3, 2))) == "Partition(3, 2)"
     assert repr(Partition((3,))) == "Partition(3,)"
-    assert repr(Composition((2, 3))) == "Composition(2, 3)"
 
 
 
@@ -53,7 +54,6 @@ def test_command_line_validation_messages(capsys):
 def test_partition_is_a_tuple():
     lam = Partition((2, 1))
     assert isinstance(lam, tuple)
-    assert isinstance(Composition((1, 2)), tuple)
     assert lam == (2, 1) and (2, 1) == lam
     assert hash(lam) == hash((2, 1))
     assert {lam: "x"}[(2, 1)] == "x"
@@ -61,7 +61,7 @@ def test_partition_is_a_tuple():
     assert type(lam[:1]) is tuple and lam[:1] == (2,)
     assert type(lam + (1,)) is tuple
     assert lam != [2, 1]
-    assert Composition((2, 3)) != [2, 3]
+    assert (2, 3) != [2, 3]
     assert Partition((3, 1)) > Partition((2, 2))
     assert not Partition() and Partition((1,))
 
@@ -72,7 +72,7 @@ def test_partition_accessors():
     assert len(lam) == 5
     assert lam.count(5) == 2
     assert lam.count(2) == 0
-    assert lam.multiplicities() == {5: 2, 3: 2, 1: 1}
+    assert Counter(lam) == {5: 2, 3: 2, 1: 1}
     assert lam == (5, 5, 3, 3, 1)
     assert {lam: "x"}[(5, 5, 3, 3, 1)] == "x"
 
@@ -84,29 +84,11 @@ def test_partition_json_round_trip():
     assert Partition([]) == Partition()
 
 
-def test_composition():
-    kappa = Composition((2, 3, 2))
-    assert kappa.n == 7
-    assert len(kappa) == 3
-    assert kappa == (2, 3, 2)
-    with pytest.raises(ValueError):
-        Composition((1, 0))
-
-
-def test_diagram_cells():
-    d = Diagram((3, 1))
-    assert (1, 3) in d
-    assert (2, 1) in d
-    assert (2, 2) not in d
-    assert len(d) == 4
-    assert len(Diagram(())) == 0
-
-
 def test_sort_to_partition():
     assert sort_to_partition([2, 3, 2]) == (3, 2, 2)
     assert sort_to_partition([]) == Partition()
     assert sort_to_partition([1, 4, 1, 4]) == (4, 4, 1, 1)
-    assert sort_to_partition(Composition((2, 3))) == (3, 2)
+    assert sort_to_partition((2, 3)) == (3, 2)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=12), max_size=8))
@@ -156,7 +138,52 @@ def test_partitions_of_small_cases():
         (1, 1, 1, 1),
     ]
     assert len(list(partitions_of(5))) == 7
-    assert [tuple(p) for p in partitions_of(3, max_length=2)] == [(3,), (2, 1)]
+
+
+def _descending_sorted_compositions(n):
+    """The partitions of n found apart from the walk: every composition of n
+    (a choice of cuts among the n - 1 gaps) sorted into a partition,
+    deduplicated and listed in descending order."""
+    shapes = {()} if n == 0 else set()
+    for k in range(n):
+        for cuts in itertools.combinations(range(1, n), k):
+            bounds = (0, *cuts, n)
+            shapes.add(tuple(sorted((b - a for a, b in zip(bounds, bounds[1:])), reverse=True)))
+    return sorted(shapes, reverse=True)
+
+
+def test_partitions_of_equals_an_independent_enumeration():
+    for n in range(15):
+        every = _descending_sorted_compositions(n)
+        for max_part in [None, *range(-1, n + 2)]:
+            cap = n if max_part is None else max_part
+            walked = list(partitions_of(n, max_part=max_part))
+            assert all(type(p) is Partition for p in walked)
+            assert walked == [p for p in every if not p or p[0] <= cap], (n, max_part)
+
+
+def test_partitions_of_walks_past_the_recursion_limit():
+    twos = list(partitions_of(1200, max_part=2))
+    assert len(twos) == 601
+    assert twos[0] == (2,) * 600 and twos[-1] == (1,) * 1200
+    assert list(itertools.islice(partitions_of(4003, max_part=3), 3)) == [
+        (3,) * 1334 + (1,),
+        (3,) * 1333 + (2, 2),
+        (3,) * 1333 + (2, 1, 1),
+    ]
+
+
+def test_closed_coefficients_of_a_thousand_sides_of_two():
+    # c_(2^beta) of K_(2^beta) is beta!; the walk reaches it without recursing
+    graph = multipartite((2,) * 1000)
+    first = list(itertools.islice(schur._coefficients(graph, None, "closed"), 3))
+    assert [lam for lam, _ in first] == [
+        (2,) * 1000,
+        (2,) * 999 + (1, 1),
+        (2,) * 998 + (1,) * 4,
+    ]
+    assert all(type(value) is int and value > 0 for _, value in first)
+    assert first[0][1] == math.factorial(1000)
 
 
 def test_partitions_of_reverse_lexicographic_order():

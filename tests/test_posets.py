@@ -1,6 +1,7 @@
 import itertools
 import sys
 import threading
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -195,7 +196,7 @@ def semi_ordered_by_backtracking(graph):
     for mu in partitions_of(graph.size):
         count = stable_partition_count_backtracking(graph, mu)
         if count:
-            for m in mu.multiplicities().values():
+            for m in Counter(mu).values():
                 count *= factorial(m)
             table[mu] = count
     return table
