@@ -19,7 +19,6 @@ from .errors import (
     LengthOneError,
     NoAscentError,
     OrderIncompatibleError,
-    PositiveFamilyError,
     SizeMismatchError,
     UnequalWeightError,
 )
@@ -59,10 +58,9 @@ __version__ = "0.1.0"
 
 _REFERENCE = frozenset(
     "SSYT KostkaMatrix coloring_count enumerate_ssyt schur_to_monomial specialize_ones"
-    " is_balanced sort_to_partition niceness_violation stable_partition_count_backtracking"
-    " stable_sets is_nonincreasing nsp_bruteforce SRHGTabloid check_srh_g_tabloid"
-    " count_srh_tabloids enumerate_srh_g_tabloids psi_involution signed_content_census"
-    " tail_head_split witness_for".split()
+    " niceness_violation stable_partition_count_backtracking stable_sets is_nonincreasing"
+    " nsp_bruteforce SRHGTabloid check_srh_g_tabloid enumerate_srh_g_tabloids"
+    " psi_involution tail_head_split".split()
 )
 
 

@@ -37,9 +37,5 @@ class CapExceededError(ChromsymError, ValueError):
     """A shape has more cells than the census code counts (255)."""
 
 
-class PositiveFamilyError(ChromsymError, ValueError):
-    """A non-positivity witness was requested for a Schur-positive type."""
-
-
 class LengthOneError(ChromsymError, ValueError):
     """Classification needs a type with at least two blocks."""

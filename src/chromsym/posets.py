@@ -12,7 +12,6 @@ counts every type at once by inclusion-exclusion over vertex subsets.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache
 from math import factorial
 
 from ._util import iter_bits, json_array, json_fields, json_int, json_ints
@@ -279,29 +278,37 @@ def multipartite_stable_partition_count(sides: tuple[int, ...], mu: tuple[int, .
     return count // _multiplicity_factorials(mu)
 
 
-@cache
 def multipartite_has_stable_partition(sides: tuple[int, ...], mu: tuple[int, ...]) -> bool:
     """Whether K_sides has a stable partition of type mu.
 
     Every block lies inside one side, so this places the parts of mu in
-    order into the room each side has left, trying each distinct room once,
-    the smallest that fits first, memoized on the sorted room and the parts
-    left.
+    order into the room each side has left. It is a depth-first search over
+    the states (sorted room left, parts placed), kept on a list and each
+    visited once: a state tries each distinct room once, the smallest that
+    fits first, and the search ends at the first full placement.
     """
     if sum(mu) != sum(sides):
         return False
-    if not mu:
-        return True
-    part, rest = mu[0], mu[1:]
-    for room in sorted(set(sides)):
-        if room >= part:
-            left = list(sides)
-            left.remove(room)
-            if room > part:
-                left.append(room - part)
-            left.sort(reverse=True)
-            if multipartite_has_stable_partition(tuple(left), rest):
-                return True
+    start = (tuple(sorted(sides)), 0)
+    stack, seen = [start], {start}
+    while stack:
+        room, placed = stack.pop()
+        if placed == len(mu):
+            return True
+        part = mu[placed]
+        tried = []
+        for i, size in enumerate(room):
+            if size < part or (i and room[i - 1] == size):
+                continue
+            left = room[:i] + room[i + 1 :]
+            if size > part:
+                left = tuple(sorted(left + (size - part,)))
+            state = (left, placed + 1)
+            if state not in seen:
+                seen.add(state)
+                tried.append(state)
+        # the smallest room that fits is popped first
+        stack.extend(reversed(tried))
     return False
 
 

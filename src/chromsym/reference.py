@@ -2,8 +2,8 @@
 
 Semistandard tableaux and Kostka matrices by enumeration, direct proper
 coloring counts, stable sets and stable partitions by backtracking, spanning
-non-increasing sequences by brute force, the special rim hook G-tabloids
-with their sign-reversing involution psi, and the classifier's witnesses.
+non-increasing sequences by brute force, and the special rim hook
+G-tabloids with their sign-reversing involution psi.
 No route calls them and no module that ``chromsym.cli`` imports imports this
 one: ``selfcheck`` and the tests hold the routes to them, and ``chromsym``
 resolves their names on first use, so a command does not compile them.
@@ -14,11 +14,9 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache
 from math import factorial
-from types import MappingProxyType
 
 from ._util import iter_bits
-from .classifier import _negative_case, _positive_reason
-from .errors import EmptyPartitionError, LengthOneError, NoAscentError, PositiveFamilyError
+from .errors import NoAscentError
 from .oracle import _kostka, kostka
 from .partitions import Partition, aspartition, dominates, partitions_of
 from .posets import Graph, Poset, has_stable_partition
@@ -26,9 +24,7 @@ from .symfunc import SymFunc
 from .tabloids import (
     RimHook,
     SRHTabloid,
-    _content_parts,
     _fillings,
-    _peel,
     _resolve_order,
     _tilings,
 )
@@ -271,20 +267,17 @@ def stable_partition_count_backtracking(graph: Graph, mu) -> int:
     return sum(1 for _ in _partition_blocks(graph, mu))
 
 
-def niceness_violation(graph: Graph, lam_present, max_length=None) -> Partition | None:
+def niceness_violation(graph: Graph, lam_present) -> Partition | None:
     """First dominated type (reverse-lexicographic) with no stable partition.
 
     `lam_present` must be the type of some stable partition the graph has.
     A returned type certifies, by contraposition, that the graph is not
-    Schur-positive. None means every dominated type is achievable, optionally
-    only checking types of length at most `max_length`.
+    Schur-positive. None means every dominated type is achievable.
     """
     lam_present = aspartition(lam_present)
     if not has_stable_partition(graph, lam_present):
         raise ValueError(f"graph has no stable partition of type {lam_present!r}")
     for mu in partitions_of(lam_present.n):
-        if max_length is not None and len(mu) > max_length:
-            continue
         if not dominates(lam_present, mu):
             continue
         if not has_stable_partition(graph, mu):
@@ -322,19 +315,6 @@ def nsp_bruteforce(poset: Poset) -> int:
         return total
 
     return sum(walk(1 << v, v) for v in range(n))
-
-
-def sort_to_partition(kappa) -> Partition:
-    """Rearrange the parts of a composition into weakly decreasing order."""
-    return Partition(sorted(kappa, reverse=True))
-
-
-def is_balanced(lam) -> bool:
-    """True iff the largest part exceeds the smallest by at most one."""
-    lam = aspartition(lam)
-    if not lam:
-        raise EmptyPartitionError("balancedness is undefined for the empty partition")
-    return lam[0] <= lam[-1] + 1
 
 
 class SRHGTabloid:
@@ -376,25 +356,6 @@ class SRHGTabloid:
 
     def __repr__(self) -> str:
         return f"SRHGTabloid({self.tabloid!r}, filling={self.filling})"
-
-
-def signed_content_census(lam) -> MappingProxyType:
-    """{type: sum of signs} over the special rim hook tabloids of shape `lam`,
-    grouped by sorted content; types whose signs cancel are left out.
-
-    By Egecioglu-Remmel this is the column `lam` of the inverse Kostka
-    matrix. Decoded from the memoized peeling of the bottom hook
-    (:func:`_peel` with no hook bound); its types are plain part tuples.
-    """
-    lam = aspartition(lam)
-    return MappingProxyType(
-        {_content_parts(code): sign for code, sign in _peel(lam, lam.n).items()}
-    )
-
-
-def count_srh_tabloids(lam) -> int:
-    """Number of special rim hook tabloids of the given shape."""
-    return len(_tilings(aspartition(lam)))
 
 
 def enumerate_srh_g_tabloids(
@@ -492,18 +453,3 @@ def psi_involution(tabloid: SRHGTabloid, poset: Poset) -> SRHGTabloid:
         hooks.append(merged)
     hooks.sort(key=lambda h: -h.cells[0][0])
     return SRHGTabloid(SRHTabloid(tabloid.tabloid.shape, hooks), tabloid.filling)
-
-
-def witness_for(lam) -> Partition | None:
-    """A dominated type with no stable partition in K_lam.
-
-    Raises PositiveFamilyError on Schur-positive types. None only for
-    (4, 3), whose graph admits every dominated type.
-    """
-    lam = aspartition(lam)
-    if len(lam) < 2:
-        raise LengthOneError("witnesses need at least two sides")
-    if _positive_reason(lam):
-        raise PositiveFamilyError(f"K_{tuple(lam)} is Schur-positive")
-    _, witness = _negative_case(lam)
-    return witness

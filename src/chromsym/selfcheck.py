@@ -30,7 +30,6 @@ from .reference import (
     enumerate_ssyt,
     nsp_bruteforce,
     schur_to_monomial,
-    sort_to_partition,
     specialize_ones,
     stable_partition_count_backtracking,
 )
@@ -67,7 +66,7 @@ def inverse_kostka_census(max_n: int) -> bool:
         census = {}
         for lam in partitions_of(n):
             for t in enumerate_srh_tabloids(lam):
-                key = (sort_to_partition(t.content), lam)
+                key = (tuple(sorted(t.content, reverse=True)), lam)
                 census[key] = census.get(key, 0) + t.sign
         for lam in partitions_of(n):
             for mu in partitions_of(n):
@@ -84,7 +83,7 @@ def peeled_census_by_hook_bound(max_n: int) -> bool:
                 census = {}
                 for t in tabloids:
                     if max(t.content, default=0) <= cap:
-                        key = sort_to_partition(t.content)
+                        key = tuple(sorted(t.content, reverse=True))
                         census[key] = census.get(key, 0) + t.sign
                 peeled = {_content_parts(code): s for code, s in _peel(lam, cap).items()}
                 if peeled != {mu: s for mu, s in census.items() if s}:

@@ -32,7 +32,6 @@ from chromsym import (
     psi_involution,
     specialize_ones,
     verify_classification,
-    witness_for,
     x_in_monomial,
 )
 
@@ -169,7 +168,7 @@ def test_criterion_7_witness_validity_up_to_25():
         (6, 6, 5, 5, 5): (5, 5, 5, 5, 5, 2),
         (5, 4, 4, 4): (5, 4, 3, 3, 2),
     }
-    ok = all(witness_for(lam) == expected for lam, expected in worked.items())
+    ok = all(classify(lam).witness == expected for lam, expected in worked.items())
     witnessless = []
     for n in range(2, 26):
         for lam in partitions_of(n):

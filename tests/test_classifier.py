@@ -4,13 +4,11 @@ import chromsym.schur as schur
 from chromsym import (
     LengthOneError,
     Partition,
-    PositiveFamilyError,
     classify,
     dominates,
     multipartite_has_stable_partition,
     partitions_of,
     verify_classification,
-    witness_for,
 )
 from chromsym.posets import _side_product_counts
 
@@ -51,7 +49,7 @@ def test_single_block_is_rejected():
     with pytest.raises(LengthOneError):
         classify(())
     with pytest.raises(LengthOneError):
-        witness_for((7,))
+        classify((7,)).witness
 
 
 def test_bipartite_list():
@@ -72,14 +70,13 @@ def test_tripartite_list():
 
 
 def test_witness_for_matches_worked_examples():
-    assert witness_for((5, 5, 5, 4, 3, 3)) == (5, 5, 4, 4, 4, 3)
-    assert witness_for((6, 6, 5, 5, 5)) == (5, 5, 5, 5, 5, 2)
-    assert witness_for((5, 4, 4, 4)) == (5, 4, 3, 3, 2)
-    assert witness_for((7, 7, 7, 6, 6)) == (7, 6, 6, 6, 6, 2)
-    with pytest.raises(PositiveFamilyError):
-        witness_for((2, 2))
-    with pytest.raises(PositiveFamilyError):
-        witness_for((3, 2, 2))
+    assert classify((5, 5, 5, 4, 3, 3)).witness == (5, 5, 4, 4, 4, 3)
+    assert classify((6, 6, 5, 5, 5)).witness == (5, 5, 5, 5, 5, 2)
+    assert classify((5, 4, 4, 4)).witness == (5, 4, 3, 3, 2)
+    assert classify((7, 7, 7, 6, 6)).witness == (7, 6, 6, 6, 6, 2)
+    # a Schur-positive type has no witness
+    assert classify((2, 2)).witness is None
+    assert classify((3, 2, 2)).witness is None
 
 
 def test_bipartite_small_family():
@@ -89,7 +86,6 @@ def test_bipartite_small_family():
     assert report.witness == (3, 3, 3)
     assert not multipartite_has_stable_partition((5, 4), (3, 3, 3))
     assert classify((4, 3)).witness is None
-    assert witness_for((4, 3)) is None
     # the closed-form witness is the reverse-lexicographic first dominated
     # type without a stable partition, found by brute force over the side
     # product's types
@@ -100,7 +96,7 @@ def test_bipartite_small_family():
             (mu for mu in partitions_of(lam.n) if dominates(lam, mu) and mu not in types),
             None,
         )
-        assert witness_for(lam) == searched, m
+        assert classify(lam).witness == searched, m
     for m in (16, 40):
         report = verify_classification((m, m - 1), "witness")
         assert report.verified and report.witness == (m - 2, m - 2, 3)

@@ -440,6 +440,17 @@ def test_witness_mode_is_not_bound_by_the_bitmask(capsys):
     assert code == 0 and json.loads(out)["verified"] is True
 
 
+def test_witness_mode_places_hundreds_of_parts(capsys):
+    # the placement search keeps its states on a list, so a witness of 502
+    # parts reaches no recursion limit
+    lam = ",".join(["4"] + ["3"] * 500)
+    for argv in (["verify", "--mode", "witness"], ["classify", "--verify", "witness"]):
+        code, out, err = run(capsys, *argv, "--lambda", lam)
+        data = json.loads(out)
+        assert code == 0 and err == "" and out.count("\n") == 1
+        assert out == canonical_json(data) and data["verified"] is True
+
+
 def test_tabloids_ascii(capsys):
     code, out, _ = run(capsys, "tabloids", "--shape", "4,2,2", "--format", "ascii")
     assert code == 0

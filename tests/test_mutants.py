@@ -26,7 +26,8 @@ from chromsym import (
     partitions_of,
     specialize_ones,
 )
-from chromsym.posets import _index_order
+import chromsym.posets as posets
+from chromsym.posets import _index_order, _side_product_counts
 from chromsym.schur import _closed_family
 
 # (name, module, attribute, (fragment of its source, replacement))
@@ -80,6 +81,12 @@ MUTANTS = [
         "partitions",
         "partitions_of",
         ("if not left:", "if not left and parts[:1] != [1]:"),
+    ),
+    (
+        "the placement search never fills a room exactly",
+        "posets",
+        "multipartite_has_stable_partition",
+        ("size < part", "size <= part"),
     ),
 ]
 
@@ -151,6 +158,13 @@ def _failures():
         except OrderIncompatibleError:
             continue
         yield f"tail answered on {graph!r} under {order!r}"
+    # placing parts into the sides finds exactly the side product's types
+    for n in range(8):
+        for sides in partitions_of(n):
+            table = _side_product_counts(sides)
+            for mu in partitions_of(n):
+                if posets.multipartite_has_stable_partition(sides, mu) != (mu in table):
+                    yield f"placing {mu} into the sides {sides} disagrees with the side product"
 
 
 def _clear_memos():

@@ -3,17 +3,13 @@ import math
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
 
 from chromsym import (
-    EmptyPartitionError,
     Partition,
     UnequalWeightError,
     dominates,
-    is_balanced,
     multipartite,
     partitions_of,
-    sort_to_partition,
 )
 from chromsym import schur
 from chromsym.cli import main
@@ -84,20 +80,6 @@ def test_partition_json_round_trip():
     assert Partition([]) == Partition()
 
 
-def test_sort_to_partition():
-    assert sort_to_partition([2, 3, 2]) == (3, 2, 2)
-    assert sort_to_partition([]) == Partition()
-    assert sort_to_partition([1, 4, 1, 4]) == (4, 4, 1, 1)
-    assert sort_to_partition((2, 3)) == (3, 2)
-
-
-@given(st.lists(st.integers(min_value=1, max_value=12), max_size=8))
-def test_sort_to_partition_is_order_free_and_idempotent(parts):
-    sorted_once = sort_to_partition(parts)
-    assert sort_to_partition(reversed(parts)) == sorted_once
-    assert sort_to_partition(sorted_once) == sorted_once
-
-
 def test_dominates_examples():
     assert dominates((5, 5, 5, 4, 3, 3), (5, 5, 4, 4, 4, 3))
     assert not dominates((2, 2), (3, 1))
@@ -118,16 +100,6 @@ def test_dominates_is_a_partial_order():
                 for c in parts:
                     if rel[(a, b)] and rel[(b, c)]:
                         assert rel[(a, c)], (a, b, c)
-
-
-def test_is_balanced():
-    assert is_balanced((5, 5, 5, 4))
-    assert is_balanced((2, 1, 1, 1))
-    assert not is_balanced((3, 2, 1))
-    assert not is_balanced((5, 5, 2, 2))
-    assert is_balanced((7,))
-    with pytest.raises(EmptyPartitionError):
-        is_balanced(())
 
 
 def test_partitions_of_small_cases():

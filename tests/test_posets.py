@@ -1,6 +1,7 @@
 import itertools
 import sys
 import threading
+import time
 from collections import Counter
 from math import factorial
 
@@ -187,6 +188,47 @@ def test_fast_path_agrees_with_backtracking():
                 assert multipartite_has_stable_partition(lam, mu) == (
                     stable_partition_count(g, mu) > 0
                 ), (lam, mu)
+
+
+def _fills_by_assignment(sides, mu) -> bool:
+    """Whether some assignment of the parts of mu to the sides sums to each
+    side's size, tried assignment by assignment; a side is never overfilled."""
+    loads = [0] * len(sides)
+
+    def assign(i):
+        if i == len(mu):
+            return loads == list(sides)
+        for s, size in enumerate(sides):
+            if loads[s] + mu[i] <= size:
+                loads[s] += mu[i]
+                found = assign(i + 1)
+                loads[s] -= mu[i]
+                if found:
+                    return True
+        return False
+
+    return assign(0)
+
+
+def test_placement_equals_every_assignment_of_parts_to_sides():
+    for n in range(9):
+        for sides in partitions_of(n):
+            for mu in partitions_of(n):
+                for parts in {tuple(mu), tuple(mu)[::-1]}:
+                    assert multipartite_has_stable_partition(sides, parts) == (
+                        _fills_by_assignment(sides, parts)
+                    ), (sides, parts)
+    assert not multipartite_has_stable_partition((2, 2), (3,))
+
+
+def test_placement_goes_depth_first():
+    # the smallest room first fills one side after another; a search that
+    # widened level by level would visit every way to spread the parts, over
+    # 10^5 states for 96 parts on 8 sides
+    for sides, parts in [((10,) * 6, (1,) * 60), ((12,) * 8, (1,) * 96)]:
+        start = time.perf_counter()
+        assert multipartite_has_stable_partition(sides, parts)
+        assert time.perf_counter() - start < 0.1, sides
 
 
 def semi_ordered_by_backtracking(graph):
@@ -732,13 +774,6 @@ def test_niceness_violation():
     assert niceness_violation(edgeless, (5,)) is None
     with pytest.raises(ValueError):
         niceness_violation(g33, (4, 2))
-
-
-def test_niceness_violation_length_bound():
-    g33 = multipartite((3, 3))
-    # no dominated type of length <= 2 is missing, the violation needs 3 blocks
-    assert niceness_violation(g33, (3, 3), max_length=2) is None
-    assert niceness_violation(g33, (3, 3), max_length=3) == (2, 2, 2)
 
 
 def test_stable_sets_count_complete_graph():
