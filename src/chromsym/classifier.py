@@ -130,12 +130,12 @@ def verify_classification(lam, mode: str = "witness") -> ClassificationReport:
     """Re-derive the verdict's evidence and set the `verified` flag.
 
     ``witness`` mode checks the dominance certificate (or, for the 3-and-2s
-    family, that every closed-form coefficient is nonnegative). ``full_scan``
+    family, that every closed-form coefficient is nonnegative). ``full``
     mode recomputes the whole expansion, however many vertices K_lam has;
     bounding that work is the caller's decision (the CLI's ``--max-vertices``).
     """
-    if mode not in ("witness", "full_scan"):
-        raise ValueError(f"mode must be 'witness' or 'full_scan', got {mode!r}")
+    if mode not in ("witness", "full"):
+        raise ValueError(f"mode must be 'witness' or 'full', got {mode!r}")
     report = classify(lam)
     if mode == "witness":
         return report._replace(verified=_verify_witness(report))

@@ -206,7 +206,7 @@ def _verdict(args, check: str | None) -> int:
     if check == "full":
         _check_size(lam.n, args)
     if check:
-        report = verify_classification(lam, "witness" if check == "witness" else "full_scan")
+        report = verify_classification(lam, check)
     else:
         report = classify(lam)
     _emit(canonical_json(report.to_json()), args)

@@ -95,9 +95,6 @@ class Poset:
     def leq(self, x: int, y: int) -> bool:
         return bool((self._above[x] >> y) & 1)
 
-    def comparable(self, x: int, y: int) -> bool:
-        return self.leq(x, y) or self.leq(y, x)
-
     def above_mask(self, x: int) -> int:
         """Bitmask of all y with x <= y, including x itself."""
         return self._above[x]
@@ -271,11 +268,12 @@ def _semi_ordered(table: dict) -> dict:
 
 
 def multipartite_stable_partition_count(sides: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    """Stable partitions of K_sides of type mu, its parts in any order, read
-    from the side product of :func:`_side_product_counts`; 0 when the weights
+    """Stable partitions of K_sides of type mu, the sides and the parts in
+    any order, read from K_sides's count table; 0 when the weights
     disagree."""
-    count = _side_product_counts(tuple(sides)).get(tuple(sorted(mu, reverse=True)), 0)
-    return count // _multiplicity_factorials(mu)
+    return stable_partition_count(
+        multipartite(sorted(sides, reverse=True)), sorted(mu, reverse=True)
+    )
 
 
 def multipartite_has_stable_partition(sides: tuple[int, ...], mu: tuple[int, ...]) -> bool:

@@ -327,10 +327,6 @@ class SRHGTabloid:
         self.filling = dict(filling)
 
     @property
-    def shape(self) -> Partition:
-        return self.tabloid.shape
-
-    @property
     def sign(self) -> int:
         return self.tabloid.sign
 

@@ -141,17 +141,21 @@ def closed_forms_match_ww(max_n: int) -> bool:
     return True
 
 
-def count_table_agreement(max_n: int) -> bool:
-    for n in range(min(max_n, 5) + 1):
+def _labelled_graphs(max_n: int):
+    """Every labelled graph on n <= max_n vertices, n by n, one per edge
+    subset."""
+    for n in range(max_n + 1):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         for chosen in range(1 << len(pairs)):
-            graph = Graph(n, [e for i, e in enumerate(pairs) if (chosen >> i) & 1])
-            for mu in partitions_of(n):
-                if stable_partition_count(graph, mu) != (
-                    stable_partition_count_backtracking(graph, mu)
-                ):
-                    return False
-    return True
+            yield Graph(n, [e for i, e in enumerate(pairs) if chosen >> i & 1])
+
+
+def count_table_agreement(max_n: int) -> bool:
+    return all(
+        stable_partition_count(graph, mu) == stable_partition_count_backtracking(graph, mu)
+        for graph in _labelled_graphs(min(max_n, 5))
+        for mu in partitions_of(graph.size)
+    )
 
 
 def frontier_counts_match_sweep(max_n: int) -> bool:
@@ -161,15 +165,14 @@ def frontier_counts_match_sweep(max_n: int) -> bool:
         for reach in combinations_with_replacement(range(n), n)
         if all(r >= x for x, r in enumerate(reach))
     ]
-    for n in range(min(max_n, 5) + 1):
-        # the naturally labelled posets, picked out of every graph: 1, 1, 2,
-        # 7, 40 and 357 of them for n = 0..5 (OEIS A006455)
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        every = [[e for i, e in enumerate(pairs) if c >> i & 1] for c in range(1 << len(pairs))]
-        labelled = [g for g in (Graph(n, edges) for edges in every) if _index_order(g) is not None]
-        if len(labelled) != (1, 1, 2, 7, 40, 357)[n]:
-            return False
-        graphs += labelled
+    # the naturally labelled posets, picked out of every graph: 1, 1, 2, 7,
+    # 40 and 357 of them for n = 0..5 (OEIS A006455)
+    top = min(max_n, 5)
+    labelled = [g for g in _labelled_graphs(top) if _index_order(g) is not None]
+    sizes = [g.size for g in labelled]
+    if any(sizes.count(n) != k for n, k in zip(range(top + 1), (1, 1, 2, 7, 40, 357))):
+        return False
+    graphs += labelled
     tables = ((_index_order(graph), _sweep_counts(graph)) for graph in graphs)
     return all(later is not None and _frontier_counts(later) == swept for later, swept in tables)
 

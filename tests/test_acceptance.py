@@ -189,7 +189,7 @@ def test_criterion_7_witness_validity_up_to_25():
     # the only type whose dominated shapes are all achievable is K_(4,3);
     # its verdict is confirmed by a full scan instead of a witness
     ok = ok and witnessless == [(4, 3)]
-    ok = ok and verify_classification((4, 3), "full_scan").verified
+    ok = ok and verify_classification((4, 3), "full").verified
     _report(
         7,
         ok,

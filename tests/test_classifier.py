@@ -10,7 +10,7 @@ from chromsym import (
     partitions_of,
     verify_classification,
 )
-from chromsym.posets import _side_product_counts
+from chromsym.posets import _count_table, multipartite
 
 
 def test_positive_verdicts():
@@ -87,11 +87,11 @@ def test_bipartite_small_family():
     assert not multipartite_has_stable_partition((5, 4), (3, 3, 3))
     assert classify((4, 3)).witness is None
     # the closed-form witness is the reverse-lexicographic first dominated
-    # type without a stable partition, found by brute force over the side
-    # product's types
+    # type without a stable partition, found by brute force over the types
+    # in K_lam's count table
     for m in range(4, 16):
         lam = Partition((m, m - 1))
-        types = _side_product_counts(lam)
+        types = _count_table(multipartite(lam))
         searched = next(
             (mu for mu in partitions_of(lam.n) if dominates(lam, mu) and mu not in types),
             None,
@@ -130,13 +130,16 @@ def test_verify_witness_mode():
 
 
 def test_verify_full_scan_mode():
-    assert verify_classification((3, 2, 2), "full_scan").verified
-    assert verify_classification((3, 3), "full_scan").verified
-    assert verify_classification((2, 2), "full_scan").verified
-    assert verify_classification((4, 3), "full_scan").verified
-    assert verify_classification((8, 8), "full_scan").verified
+    assert verify_classification((3, 2, 2), "full").verified
+    assert verify_classification((3, 3), "full").verified
+    assert verify_classification((2, 2), "full").verified
+    assert verify_classification((4, 3), "full").verified
+    assert verify_classification((8, 8), "full").verified
     with pytest.raises(ValueError):
         verify_classification((3, 3), "bogus")
+    # the library takes the command line's mode words only
+    with pytest.raises(ValueError, match="'witness' or 'full'"):
+        verify_classification((3, 3), "full_scan")
 
 
 def test_full_scan_cross_checks_closed_forms(monkeypatch):
@@ -148,7 +151,7 @@ def test_full_scan_cross_checks_closed_forms(monkeypatch):
     # comparison with the ww route (count table times tabloid census) can
     # catch it
     assert classify((3, 2, 2)).verdict == "SchurPositive"
-    assert not verify_classification((3, 2, 2), "full_scan").verified
+    assert not verify_classification((3, 2, 2), "full").verified
 
 
 def test_full_scan_agrees_with_classify_up_to_seven():
@@ -156,7 +159,7 @@ def test_full_scan_agrees_with_classify_up_to_seven():
         for lam in partitions_of(n):
             if len(lam) < 2:
                 continue
-            assert verify_classification(lam, "full_scan").verified, lam
+            assert verify_classification(lam, "full").verified, lam
 
 
 def test_report_json():
@@ -181,7 +184,7 @@ def multipartite_types(max_n, min_n=2):
 
 def theorem_mismatches(types):
     """Types whose verdict the library's full scan does not confirm."""
-    return [lam for lam in types if not verify_classification(lam, "full_scan").verified]
+    return [lam for lam in types if not verify_classification(lam, "full").verified]
 
 
 def test_theorem_matches_ww_scans_up_to_12_vertices():

@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import os
@@ -526,6 +527,16 @@ def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
     assert not missing.parent.exists()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_output_that_fails_on_the_write_is_a_usage_error(capsys):
+    # /dev/full passes the pre-check and refuses the write itself
+    code, out, err = run(capsys, "nsp", "--lambda", "3,2", "--output", "/dev/full")
+    assert (code, out) == (2, "")
+    assert err == (
+        "chromsym: error: cannot write /dev/full: [Errno 28] No space left on device\n"
+    )
+
+
 def test_unwritable_output_is_refused_before_the_work(capsys, monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("expanded before checking --output")
@@ -586,6 +597,24 @@ def test_help_names_every_command_and_flag(capsys):
             assert code == 0 and err == ""
             assert out.startswith(f"usage: chromsym {command} ")
             assert all(flag in out for flag in flags)
+
+
+def test_the_console_script_runs_main(capsys):
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10
+        lines = pyproject.read_text().splitlines()
+        scripts = lines[lines.index("[project.scripts]") + 1 :]
+        name, _, value = scripts[0].partition("=")
+        entry = {name.strip(): value.strip().strip('"')}
+    else:
+        entry = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert entry == {"chromsym": "chromsym.cli:main"}
+    module, _, function = entry["chromsym"].partition(":")
+    script = getattr(importlib.import_module(module), function)
+    assert script(["nsp", "--lambda", "3,2"]) == 0
+    assert capsys.readouterr() == ("46\n", "")
 
 
 def test_nsp_loads_neither_argparse_nor_the_battery():

@@ -27,7 +27,8 @@ from chromsym import (
     specialize_ones,
 )
 import chromsym.posets as posets
-from chromsym.posets import _index_order, _side_product_counts
+from chromsym import selfcheck
+from chromsym.posets import _count_table, _index_order
 from chromsym.schur import _closed_family
 
 # (name, module, attribute, (fragment of its source, replacement))
@@ -87,6 +88,18 @@ MUTANTS = [
         "posets",
         "multipartite_has_stable_partition",
         ("size < part", "size <= part"),
+    ),
+    (
+        "the labelled-graph walk drops the last edge subset",
+        "selfcheck",
+        "_labelled_graphs",
+        ("range(1 << len(pairs))", "range((1 << len(pairs)) - 1)"),
+    ),
+    (
+        "the unordered count keeps the multiplicity factorials",
+        "posets",
+        "stable_partition_count",
+        (" // _multiplicity_factorials(mu)", ""),
     ),
 ]
 
@@ -158,13 +171,18 @@ def _failures():
         except OrderIncompatibleError:
             continue
         yield f"tail answered on {graph!r} under {order!r}"
-    # placing parts into the sides finds exactly the side product's types
-    for n in range(8):
+    # placing parts into the sides finds exactly the types in K_sides's table
+    for n in range(1, 8):
         for sides in partitions_of(n):
-            table = _side_product_counts(sides)
+            table = _count_table(multipartite(sides))
             for mu in partitions_of(n):
                 if posets.multipartite_has_stable_partition(sides, mu) != (mu in table):
-                    yield f"placing {mu} into the sides {sides} disagrees with the side product"
+                    yield f"placing {mu} into the sides {sides} disagrees with K_sides's table"
+    # the count-table checks of oracle-check: every labelled graph on n <= 4
+    # against backtracking, and the frontier DP against the sweep
+    for check in (selfcheck.count_table_agreement, selfcheck.frontier_counts_match_sweep):
+        if not check(4):
+            yield f"{check.__name__}(4) fails"
 
 
 def _clear_memos():

@@ -166,6 +166,15 @@ def test_basis_guards():
         schur_to_monomial(g)
 
 
+def test_symfunc_refuses_a_bad_basis_degree_or_key():
+    with pytest.raises(ValueError, match="^basis must be one of .*, got 'power'$"):
+        SymFunc("power", 2)
+    with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+        SymFunc("schur", -1)
+    with pytest.raises(ValueError, match=r"^Partition\(2, 1\) is not a partition of 2$"):
+        SymFunc("schur", 2, {(2, 1): 1})
+
+
 def test_coloring_count():
     claw = multipartite((3, 1))
     assert coloring_count(claw, 2) == 2

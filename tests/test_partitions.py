@@ -34,6 +34,11 @@ def test_partition_validation_messages():
     assert repr(Partition((3,))) == "Partition(3,)"
 
 
+def test_partitions_of_a_negative_number_is_refused():
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        next(partitions_of(-1))
+
+
 
 def test_command_line_validation_messages(capsys):
     # the sides are sorted first, so only a part below 1 is left to refuse

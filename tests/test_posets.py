@@ -46,8 +46,8 @@ def test_poset_from_covers_closure():
     assert p.leq(a, f)  # through b
     assert p.leq(d, e)  # through c
     assert not p.leq(d, a)
-    assert p.comparable(b, e)
-    assert not p.comparable(c, f)
+    assert p.leq(b, e) or p.leq(e, b)
+    assert not (p.leq(c, f) or p.leq(f, c))
 
 
 def test_poset_cycle_detection():
@@ -108,11 +108,25 @@ def test_graph_validation():
     assert edgeless.edges() == [] and not edgeless.adjacent(63, 64)
 
 
+def test_poset_and_graph_input_checks():
+    with pytest.raises(ValueError, match="^size must be nonnegative$"):
+        Graph(-1)
+    with pytest.raises(ValueError, match=r"^cover \(0, 3\) out of range for size 3$"):
+        Poset(3, [(0, 3)])
+    with pytest.raises(ValueError, match="^labels must name every element$"):
+        Poset(3, [(0, 1)], ["a", "b"])
+    with pytest.raises(TypeError, match="^labels must be strings$"):
+        Poset.from_json({"n": 2, "labels": ["a", 1]})
+    with pytest.raises(ValueError, match="^poset has no labels$"):
+        Poset(2, [(0, 1)]).element("0")
+
+
 def test_multipartite_shapes():
     claw, claw_poset = multipartite((3, 1)), Poset.chain_union((3, 1))
     assert claw.edges() == [(0, 3), (1, 3), (2, 3)]
     assert claw.sides == (3, 1)
-    assert claw_poset.leq(0, 1) and claw_poset.leq(1, 2) and not claw_poset.comparable(2, 3)
+    assert claw_poset.leq(0, 1) and claw_poset.leq(1, 2)
+    assert not (claw_poset.leq(2, 3) or claw_poset.leq(3, 2))
 
     c4, poset = multipartite((2, 2)), Poset.chain_union((2, 2))
     assert c4.edges() == [(0, 2), (0, 3), (1, 2), (1, 3)]
@@ -165,6 +179,14 @@ def test_multipartite_count_reads_a_type_in_any_order():
     assert multipartite_has_stable_partition((2, 1), (1, 2))
     for mu in itertools.permutations((2, 2, 1, 1)):
         assert multipartite_stable_partition_count((3, 3), mu) == 9
+    # the sides in any order too, as K_sides's table reads them
+    for sides in set(itertools.permutations((3, 2, 1))):
+        assert multipartite_stable_partition_count(sides, (1, 2, 2, 1)) == 3
+    # sides that build no K_sides are refused, as multipartite refuses them
+    with pytest.raises(EmptyPartitionError):
+        multipartite_stable_partition_count((), ())
+    with pytest.raises(ValueError, match="^partition parts must be >= 1, got 0$"):
+        multipartite_stable_partition_count((2, 0), (1, 1))
 
 
 def test_fast_path_agrees_with_backtracking():
@@ -280,7 +302,7 @@ def test_chain_union_masks_match_the_closure_of_its_covers():
     chains = Poset.chain_union((40, 25))
     assert chains.above_mask(0) == (1 << 40) - 1
     assert chains.above_mask(40) == (1 << 65) - (1 << 40)
-    assert chains.leq(40, 64) and not chains.comparable(39, 40)
+    assert chains.leq(40, 64) and not (chains.leq(39, 40) or chains.leq(40, 39))
 
 
 def brute_force_reach(n, covers):
@@ -763,6 +785,14 @@ def test_has_stable_partition_generic_graph():
     c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     assert has_stable_partition(c5, (2, 2, 1))
     assert not has_stable_partition(c5, (3, 2))
+
+
+def test_a_type_of_the_wrong_weight_has_no_stable_partition():
+    c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    for graph in (c5, multipartite((3, 2))):
+        for mu in [(2, 2), (2, 2, 2)]:
+            assert semi_ordered_count(graph, mu) == 0
+            assert has_stable_partition(graph, mu) is False
 
 
 def test_niceness_violation():

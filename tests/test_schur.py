@@ -138,6 +138,11 @@ def test_closed_route_on_non_closed_graph():
         coeff_report(claw, None, (2, 2), "closed")
 
 
+def test_coeff_report_refuses_an_unknown_route():
+    with pytest.raises(ValueError, match="^route must be one of .*, got 'full'$"):
+        coeff_report(multipartite((2, 2)), None, (2, 2), "full")
+
+
 def test_positivity_scan():
     assert positivity_scan(multipartite((3, 2, 2))).all_nonnegative
     scan = positivity_scan(multipartite((3, 3)))

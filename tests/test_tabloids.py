@@ -45,6 +45,8 @@ def test_rim_hook_geometry():
         RimHook([(1, 1), (3, 1)])  # not a unit step
     with pytest.raises(ValueError):
         RimHook([(1, 1), (2, 1)])  # steps must go north, not south
+    with pytest.raises(ValueError, match="^a rim hook has at least one cell$"):
+        RimHook([])
 
 
 def test_census_422():
@@ -132,6 +134,20 @@ def test_validate_rejects_bad_tilings():
         RimHook([(2, 2)])
 
 
+def test_validate_names_a_hook_outside_the_shape_and_a_broken_shape():
+    from chromsym import SRHTabloid
+
+    # the top row of (2, 1) holds two cells, not three
+    bad = SRHTabloid((2, 1), [RimHook([(1, 1), (1, 2), (1, 3)])])
+    with pytest.raises(ValueError, match="^hook not contained in the current shape$"):
+        bad.validate()
+    # (1, 1) lies on the southeast boundary of (2, 1), but removing it
+    # first leaves (1, 2) and (2, 1), no partition shape
+    bad = SRHTabloid((2, 1), [RimHook([(1, 1)]), RimHook([(2, 1), (1, 1), (1, 2)])])
+    with pytest.raises(ValueError, match="^removal does not leave a partition shape$"):
+        bad.validate()
+
+
 def test_checker_rejects_bad_fillings():
     from chromsym import SRHGTabloid, SRHTabloid
 
@@ -187,6 +203,14 @@ def test_g_tabloid_size_and_order_errors():
     antichain = Poset(2, [])
     with pytest.raises(OrderIncompatibleError):
         enumerate_srh_g_tabloids(bare, antichain, (1, 1))
+
+
+def test_signed_counts_refuse_an_order_that_is_no_poset_or_of_another_size():
+    g = multipartite((2, 2))
+    with pytest.raises(TypeError, match="^order must be a Poset or None"):
+        signed_g_tabloid_counts(g, [(0, 1), (2, 3)], (2, 2))
+    with pytest.raises(SizeMismatchError, match="^order has 5 elements, graph has 4$"):
+        signed_g_tabloid_counts(g, Poset.chain_union((3, 2)), (2, 2))
 
 
 def test_g_tabloids_of_example_poset_contain_depicted_ones():
@@ -531,7 +555,7 @@ def test_tail_filter_refuses_exactly_where_the_tail_route_does(poset, keep, pick
             with pytest.raises(OrderIncompatibleError, match="presented as inc"):
                 refused()
         if order is None or not all(
-            graph.adjacent(x, y) or order.comparable(x, y)
+            graph.adjacent(x, y) or order.leq(x, y) or order.leq(y, x)
             for x, y in itertools.combinations(range(n), 2)
         ):
             continue
