@@ -95,7 +95,7 @@ def _default_max_vertices() -> int:
         raise UsageError(f"{ENV_MAX_VERTICES} must be an integer, got {raw!r}") from exc
 
 
-def _load_graph(args) -> tuple[Graph, Poset | None, dict]:
+def _load_graph(args) -> tuple[Graph, dict]:
     """Resolve the command line's one graph source, checking the size it
     declares against the budget before anything of that size is built."""
     if args.graph_source is None:
@@ -117,15 +117,15 @@ def _load_graph(args) -> tuple[Graph, Poset | None, dict]:
             parts = sorted(json_ints(data["multipartite"], "multipartite"), reverse=True)
             lam = Partition(parts)
             _check_size(lam.n, args)
-            return multipartite(lam), None, {"multipartite": parts}
+            return multipartite(lam), {"multipartite": parts}
         # from_json reports an n that is missing or not an integer
         if type(data.get("n")) is int:
             _check_size(data["n"], args)
         if flag == "--poset-json":
             poset = Poset.from_json(data)
-            return incomparability_graph(poset), poset, poset.to_json()
+            return incomparability_graph(poset), poset.to_json()
         graph = Graph.from_json(data)
-        return graph, None, graph.to_json()
+        return graph, graph.to_json()
     except (ChromsymError, ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"{flag}: {exc}") from exc
 
@@ -170,8 +170,8 @@ def _check_size(n: int, args):
 
 
 def _cmd_expand(args) -> int:
-    graph, poset, source = _load_graph(args)
-    func = expand_schur(graph, poset, args.route)
+    graph, source = _load_graph(args)
+    func = expand_schur(graph, args.route)
     if args.format == "csv":
         lines = [f"{','.join(map(str, lam))};{value}" for lam, value in func.items()]
         _emit("\n".join(lines) + "\n" if lines else "\n", args)
@@ -183,8 +183,8 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_coeff(args) -> int:
-    graph, poset, source = _load_graph(args)
-    report = coeff_report(graph, poset, _parse_lambda(args.lam), args.route)
+    graph, source = _load_graph(args)
+    report = coeff_report(graph, _parse_lambda(args.lam), args.route)
     payload = report.to_json()
     payload["graph"] = source
     _emit(canonical_json(payload), args)

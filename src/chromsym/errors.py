@@ -18,7 +18,7 @@ class CycleError(ChromsymError, ValueError):
 
 
 class OrderIncompatibleError(ChromsymError, ValueError):
-    """A vertex order leaves some non-adjacent pair incomparable."""
+    """The graph's index order does not present it as inc(P), as the tail route needs."""
 
 
 class SizeMismatchError(ChromsymError, ValueError):

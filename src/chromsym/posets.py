@@ -106,6 +106,8 @@ class Poset:
         """Index of the element carrying `label`."""
         if not self.labels:
             raise ValueError("poset has no labels")
+        if label not in self.labels:
+            raise ValueError(f"no element carries the label {label!r}")
         return self.labels.index(label)
 
     def to_json(self) -> dict:
@@ -196,16 +198,32 @@ class Graph:
         return f"Graph(size={self.size}, edges={self.edges()})"
 
 
-def _incomparable(poset: Poset) -> tuple[int, ...]:
-    """Each element's mask of the elements it is incomparable with."""
-    full = (1 << poset.size) - 1
-    return tuple(full & ~(up | down) for up, down in zip(poset._above, poset._below))
-
-
 def incomparability_graph(poset: Poset) -> Graph:
-    """Graph on the poset elements with edges between incomparable pairs."""
-    edges = [(x, y) for x, inc in enumerate(_incomparable(poset)) for y in iter_bits(inc) if x < y]
-    return Graph(poset.size, edges)
+    """inc(P): an edge between each incomparable pair, vertex i being the
+    i-th element of P's least linear extension, which each step extends by
+    the smallest element whose down-set it holds. So the index order on the
+    non-edges is P (:func:`_index_order`), and elements whose numbers
+    already extend P keep them."""
+    n = poset.size
+    waiting = [down.bit_count() - 1 for down in poset._below]  # unplaced below
+    ready = sum(1 << x for x, w in enumerate(waiting) if not w)
+    vertex = [0] * n
+    for i in range(n):
+        low = ready & -ready
+        ready ^= low
+        x = low.bit_length() - 1
+        vertex[x] = i
+        for y in iter_bits(poset._above[x] ^ low):
+            waiting[y] -= 1
+            if not waiting[y]:
+                ready |= 1 << y
+    full = (1 << n) - 1
+    edges = [
+        (vertex[x], vertex[y])
+        for x, (up, down) in enumerate(zip(poset._above, poset._below))
+        for y in iter_bits(full & ~(up | down) & -(2 << x))
+    ]
+    return Graph(n, edges)
 
 
 def multipartite(lam) -> Graph:

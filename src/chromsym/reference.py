@@ -354,17 +354,13 @@ class SRHGTabloid:
         return f"SRHGTabloid({self.tabloid!r}, filling={self.filling})"
 
 
-def enumerate_srh_g_tabloids(
-    graph: Graph, order, lam, tail_filter: bool = False
-) -> list[SRHGTabloid]:
-    """All filled tabloids of shape `lam` for the graph under the given order.
-
-    `order` is a Poset on the vertices, or None for the graph's index order
-    (its non-edges oriented by index). With tail_filter=True only tabloids
-    whose tail sequence is non-increasing are produced, and the order must
-    present the graph as inc(P).
+def enumerate_srh_g_tabloids(graph: Graph, lam, tail_filter: bool = False) -> list[SRHGTabloid]:
+    """All filled tabloids of shape `lam` for the graph under its index
+    order, its non-edges oriented by index. With tail_filter=True only
+    tabloids whose tail sequence is non-increasing are produced, and the
+    index order must present the graph as inc(P).
     """
-    lam, above = _resolve_order(graph, order, lam, tail_filter)
+    lam, above = _resolve_order(graph, lam, tail_filter)
     out = []
     for _, tiling in _tilings(lam):
         flat = [cell for cells in tiling for cell in cells]
@@ -374,10 +370,10 @@ def enumerate_srh_g_tabloids(
     return out
 
 
-def check_srh_g_tabloid(tabloid: SRHGTabloid, graph: Graph, order) -> None:
-    """Independent check of a filled tabloid under a compatible order; raises
-    on any defect, first on a shape whose size is not the graph's."""
-    _, above = _resolve_order(graph, order, tabloid.tabloid.shape, False)
+def check_srh_g_tabloid(tabloid: SRHGTabloid, graph: Graph) -> None:
+    """Independent check of a filled tabloid under the graph's index order;
+    raises on any defect, first on a shape whose size is not the graph's."""
+    _, above = _resolve_order(graph, tabloid.tabloid.shape, False)
     tabloid.tabloid.validate()
     values = list(tabloid.filling.values())
     cells = {cell for h in tabloid.tabloid.hooks for cell in h.cells}

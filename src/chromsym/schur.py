@@ -6,10 +6,11 @@ Four routes compute the same numbers and check each other:
                 tabloids with hooks of at most the independence number,
                 weighted by the graph's count table, X_G's monomial
                 coefficients (semi-ordered stable partition counts);
-* ``tabloid`` - signed count of vertex-filled tabloids under a compatible
-                vertex order;
+* ``tabloid`` - signed count of vertex-filled tabloids under the graph's
+                index order, its non-edges oriented by index;
 * ``tail``    - the tabloid route restricted to tabloids whose tail sequence
-                is non-increasing (valid for incomparability graphs);
+                is non-increasing (valid for inc(P) numbered by a linear
+                extension of P, where the index order is P);
 * ``oracle``  - the same monomial coefficients followed by a Kostka solve.
 
 Closed forms cover the two multipartite families whose sides are all of size
@@ -121,7 +122,7 @@ def _closed_family(graph: Graph):
     return None
 
 
-def _setup_route(graph: Graph, order, route: str):
+def _setup_route(graph: Graph, route: str):
     """Resolve ``auto`` and plan the route; its once-per-graph work is done
     by the layer that owns it.
 
@@ -133,10 +134,10 @@ def _setup_route(graph: Graph, order, route: str):
     ``ww`` weighs the census by the count table (:func:`_count_table`) in
     :func:`_weighed_census`. ``closed`` takes :func:`_closed_family`'s
     function and refuses a graph outside its families here, whatever the
-    shape. ``tabloid`` and ``tail`` pass the order on to
-    :func:`signed_g_tabloid_counts`, which resolves it for each shape: so
-    ``tail`` refuses each shape it is asked for unless the order presents
-    the graph as inc(P), and a shape of the wrong weight still answers 0.
+    shape. ``tabloid`` and ``tail`` call :func:`signed_g_tabloid_counts`
+    for each shape: so ``tail`` refuses each shape it is asked for unless
+    the index order presents the graph as inc(P), and a shape of the wrong
+    weight still answers 0.
     """
     if route not in ROUTES:
         raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
@@ -161,17 +162,17 @@ def _setup_route(graph: Graph, order, route: str):
             raise BadShapeError("closed forms only apply to sides (2^b) or (3, 2^b)")
         return route, bound, lambda lam: (closed(lam), None)
     def tabloids(lam):
-        pos, neg = signed_g_tabloid_counts(graph, order, lam, tail_filter=route == "tail")
+        pos, neg = signed_g_tabloid_counts(graph, lam, tail_filter=route == "tail")
         return pos - neg, (pos, neg)
 
     return route, bound, tabloids
 
 
-def coeff_report(graph: Graph, order, lam, route: str = "auto") -> CoeffReport:
+def coeff_report(graph: Graph, lam, route: str = "auto") -> CoeffReport:
     """Compute one coefficient, recording the route and, where the route
     enumerates tabloids, the positive and negative counts. A shape of the
     wrong weight has coefficient 0."""
-    route, _, coeff = _setup_route(graph, order, route)
+    route, _, coeff = _setup_route(graph, route)
     lam = aspartition(lam)
     if lam.n != graph.size:
         return CoeffReport(lam, 0, route)
@@ -179,28 +180,28 @@ def coeff_report(graph: Graph, order, lam, route: str = "auto") -> CoeffReport:
     return CoeffReport(lam, value, route, counts)
 
 
-def _coefficients(graph: Graph, order, route: str):
+def _coefficients(graph: Graph, route: str):
     """Yield (shape, coefficient) in reverse-lexicographic order over the
     shapes whose first part is within the route's bound; every other shape
     has coefficient 0."""
-    _, bound, coeff = _setup_route(graph, order, route)
+    _, bound, coeff = _setup_route(graph, route)
     for lam in partitions_of(graph.size, max_part=bound):
         yield lam, coeff(lam)[0]
 
 
-def expand_schur(graph: Graph, order=None, route: str = "auto") -> SymFunc:
+def expand_schur(graph: Graph, route: str = "auto") -> SymFunc:
     """Full Schur expansion of the chromatic symmetric function of `graph`.
 
     Zero coefficients are omitted.
     """
-    coeffs = {lam: value for lam, value in _coefficients(graph, order, route) if value}
+    coeffs = {lam: value for lam, value in _coefficients(graph, route) if value}
     return SymFunc("schur", graph.size, coeffs)
 
 
 def positivity_scan(graph: Graph) -> ScanResult:
     """Scan the shapes in reverse-lexicographic order for the first negative
     coefficient."""
-    for lam, value in _coefficients(graph, None, "auto"):
+    for lam, value in _coefficients(graph, "auto"):
         if value < 0:
             return ScanResult(False, (lam, value))
     return ScanResult(True, None)

@@ -107,7 +107,7 @@ def route_agreement(max_n: int) -> bool:
         truth = monomial_to_schur(x_in_monomial(graph))
         for mu in partitions_of(graph.size):
             reports = [
-                coeff_report(graph, None, mu, route).value
+                coeff_report(graph, mu, route).value
                 for route in ("auto", "ww", "tabloid", "tail")
             ]
             if any(v != truth[mu] for v in reports):
@@ -117,7 +117,7 @@ def route_agreement(max_n: int) -> bool:
     truth = monomial_to_schur(x_in_monomial(graph))
     for mu in partitions_of(6):
         for route in ("auto", "tail"):
-            if coeff_report(graph, poset, mu, route).value != truth[mu]:
+            if coeff_report(graph, mu, route).value != truth[mu]:
                 return False
     return True
 

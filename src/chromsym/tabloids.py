@@ -8,8 +8,8 @@ leaving a partition shape at every stage. The sign is (-1) to the number of
 N-steps, and the content lists hook lengths from the bottom hook up.
 
 Filled tabloids additionally place every vertex of a graph in a cell so that
-each hook holds a stable set that increases southwest to northeast in a
-chosen vertex order.
+each hook holds a stable set that increases southwest to northeast in the
+graph's index order.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import cache
 from ._util import iter_bits
 from .errors import CapExceededError, OrderIncompatibleError, SizeMismatchError
 from .partitions import Partition, aspartition
-from .posets import Graph, Poset, _incomparable, _index_masks, _index_order
+from .posets import Graph, _index_masks, _index_order
 
 
 class RimHook:
@@ -241,40 +241,23 @@ def enumerate_srh_tabloids(lam) -> list[SRHTabloid]:
     ]
 
 
-def _resolve_order(graph: Graph, order, lam, tail: bool) -> tuple[Partition, tuple[int, ...]]:
+def _resolve_order(graph: Graph, lam, tail: bool) -> tuple[Partition, tuple[int, ...]]:
     """The shape, which must have one cell per vertex, and each vertex's
-    strict up-mask in `order`, else in the graph's index order, which on a
-    hook (its vertices pairwise non-adjacent) is the index chain. The tail
-    filter needs an order that presents the graph as inc(P), and so is
-    compatible; any other given order must be compatible."""
+    strict up-mask in the graph's index order, its non-edges oriented by
+    index, which on a hook (its vertices pairwise non-adjacent) is the index
+    chain. The tail filter needs that order transitive, so that it presents
+    the graph as inc(P) (:func:`_index_order`), as it does on every
+    :func:`incomparability_graph`."""
     lam = aspartition(lam)
     if lam.n != graph.size:
         raise SizeMismatchError(f"shape has {lam.n} cells but the graph has {graph.size} vertices")
-    if order is None:
-        up = _index_order(graph) if tail else _index_masks(graph)
-    elif not isinstance(order, Poset):
-        raise TypeError("order must be a Poset or None for the graph's index order")
-    elif order.size != graph.size:
-        raise SizeMismatchError(f"order has {order.size} elements, graph has {graph.size}")
-    elif tail:
-        up = order._above if _incomparable(order) == graph._adj else None
-    else:
-        check_order_compatible(graph, order)
-        up = order._above
+    up = _index_order(graph) if tail else _index_masks(graph)
     if up is None:
         raise OrderIncompatibleError(
-            "the tail route needs the graph presented as inc(P) with its poset"
+            "the tail route needs the graph presented as inc(P), numbered by a linear"
+            " extension of P"
         )
-    return lam, tuple(mask & ~(1 << x) for x, mask in enumerate(up))
-
-
-def check_order_compatible(graph: Graph, order: Poset):
-    """Every non-adjacent pair must be comparable in the order: each vertex's
-    incomparable mask lies inside its adjacency."""
-    for u, (inc, adj) in enumerate(zip(_incomparable(order), graph._adj)):
-        # the relation is symmetric: the first such u has its partners above it
-        for v in iter_bits(inc & ~adj):
-            raise OrderIncompatibleError(f"vertices {u} and {v} are non-adjacent but incomparable")
+    return lam, up
 
 
 def _fillings(graph: Graph, above, shape: tuple[int, ...], tiling, tail_filter: bool):
@@ -318,13 +301,11 @@ def _fillings(graph: Graph, above, shape: tuple[int, ...], tiling, tail_filter: 
     yield from rec(0, 0, 0, -1, -1)
 
 
-def signed_g_tabloid_counts(
-    graph: Graph, order, lam, tail_filter: bool = False
-) -> tuple[int, int]:
+def signed_g_tabloid_counts(graph: Graph, lam, tail_filter: bool = False) -> tuple[int, int]:
     """(positive, negative) tabloid counts without materializing fillings,
-    under `order`, or the graph's index order if None (:func:`_resolve_order`);
-    a tiling's fillings count under the sign :func:`_tilings` pairs it with."""
-    lam, above = _resolve_order(graph, order, lam, tail_filter)
+    under the graph's index order (:func:`_resolve_order`); a tiling's
+    fillings count under the sign :func:`_tilings` pairs it with."""
+    lam, above = _resolve_order(graph, lam, tail_filter)
     counts = {1: 0, -1: 0}
     for sign, tiling in _tilings(lam):
         counts[sign] += sum(1 for _ in _fillings(graph, above, lam, tiling, tail_filter))

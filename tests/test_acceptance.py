@@ -58,13 +58,13 @@ def test_criterion_2_route_equivalence_up_to_seven():
     mismatches = []
     for n in range(1, 8):
         for lam in partitions_of(n):
-            graph, poset = multipartite(lam), Poset.chain_union(lam)
+            graph = multipartite(lam)
             oracle = monomial_to_schur(x_in_monomial(graph))
             for mu in partitions_of(n):
                 values = {
-                    coeff_report(graph, None, mu, "ww").value,
-                    coeff_report(graph, poset, mu, "tabloid").value,
-                    coeff_report(graph, poset, mu, "tail").value,
+                    coeff_report(graph, mu, "ww").value,
+                    coeff_report(graph, mu, "tabloid").value,
+                    coeff_report(graph, mu, "tail").value,
                     oracle[mu],
                 }
                 if len(values) != 1:
@@ -88,11 +88,11 @@ def test_criterion_3_exact_expansions():
     }
     ok = True
     for lam, expected in (((2, 2), expected_c4), ((3, 2), expected_k32)):
-        graph, poset = multipartite(lam), Poset.chain_union(lam)
+        graph = multipartite(lam)
         oracle = monomial_to_schur(x_in_monomial(graph))
         ok = ok and {tuple(k): v for k, v in oracle.items()} == expected
         for route in ("ww", "tabloid", "tail", "closed"):
-            engine = expand_schur(graph, poset, route)
+            engine = expand_schur(graph, route)
             ok = ok and engine == oracle
     _report(3, ok, "X_{K_(2,2)} and X_{K_(3,2)} match the oracle re-derivation exactly")
 
@@ -100,7 +100,7 @@ def test_criterion_3_exact_expansions():
 def test_criterion_4_closed_form_agreement():
     ok = True
     for beta in (1, 2, 3):
-        graph, poset = multipartite((2,) * beta), Poset.chain_union((2,) * beta)
+        graph = multipartite((2,) * beta)
         for mu in partitions_of(2 * beta):
             threes = sum(1 for p in mu if p >= 3)
             twos = mu.count(2)
@@ -108,15 +108,15 @@ def test_criterion_4_closed_form_agreement():
             closed = coeff_closed_2beta(beta, twos, ones) if not threes else 0
             ok = ok and (
                 closed
-                == coeff_report(graph, poset, mu, "tail").value
-                == coeff_report(graph, None, mu, "ww").value
+                == coeff_report(graph, mu, "tail").value
+                == coeff_report(graph, mu, "ww").value
             )
     zero_convention_hit = False
     for beta in (1, 2):
-        graph, poset = multipartite((3,) + (2,) * beta), Poset.chain_union((3,) + (2,) * beta)
+        graph = multipartite((3,) + (2,) * beta)
         for mu in partitions_of(2 * beta + 3):
             closed = coeff_closed_32beta(beta, mu)
-            ok = ok and closed == coeff_report(graph, poset, mu, "tail").value
+            ok = ok and closed == coeff_report(graph, mu, "tail").value
             if mu.count(2) > beta and not mu.count(3):
                 zero_convention_hit = True
     _report(
@@ -204,7 +204,7 @@ def test_criterion_8_sign_reversing_involution():
         for lam in partitions_of(n):
             graph, poset = multipartite(lam), Poset.chain_union(lam)
             for shape in partitions_of(n):
-                tabs = enumerate_srh_g_tabloids(graph, poset, shape)
+                tabs = enumerate_srh_g_tabloids(graph, shape)
                 groups = defaultdict(list)
                 for t in tabs:
                     groups[t.tail_sequence()].append(t)
@@ -268,15 +268,15 @@ def test_criterion_10_specialization_referee():
     ok = True
     for n in range(1, 7):
         for lam in partitions_of(n):
-            graph, poset = multipartite(lam), Poset.chain_union(lam)
-            func = expand_schur(graph, poset)
+            graph = multipartite(lam)
+            func = expand_schur(graph)
             for q in range(5):
                 ok = ok and specialize_ones(func, q) == coloring_count(graph, q)
     example = Poset(
         6, [(0, 1), (1, 5), (0, 2), (2, 4), (3, 2), (1, 4)], labels=list("abcdef")
     )
     graph = incomparability_graph(example)
-    func = expand_schur(graph, example)
+    func = expand_schur(graph)
     for q in range(5):
         ok = ok and specialize_ones(func, q) == coloring_count(graph, q)
     _report(

@@ -902,6 +902,45 @@ def test_random_order_as_a_graph_counts_by_the_frontier(capsys, monkeypatch, tmp
     assert run(capsys, "expand", "--graph-json", str(path)) == frontier
 
 
+def test_shuffled_poset_json_counts_by_the_frontier_as_its_natural_numbering(
+    capsys, monkeypatch, tmp_path
+):
+    import random
+
+    from chromsym import posets
+
+    # a random order on 0..11 whose relations all run upwards, and the same
+    # order with its elements renamed at random, so that its own numbers do
+    # not extend it: read in those numbers, the graph would be swept
+    rng = random.Random(12)
+    less = [(i, j) for i in range(12) for j in range(i + 1, 12) if rng.random() < 0.3]
+    name = list(range(12))
+    rng.shuffle(name)
+    natural = {"n": 12, "covers": [[i, j] for i, j in less]}
+    shuffled = {"n": 12, "covers": [[name[i], name[j]] for i, j in less]}
+    inc = posets.incomparability_graph(posets.Poset(12, less))
+    as_numbered = posets.Graph(12, [(name[u], name[v]) for u, v in inc.edges()])
+    assert inc.sides is None and posets._index_order(as_numbered) is None
+
+    def refuse(graph):
+        raise AssertionError("swept inc(P) of a --poset-json order")
+
+    monkeypatch.setattr(posets, "_sweep_counts", refuse)
+    outputs = []
+    for document in (natural, shuffled):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(document))
+        printed = []
+        for argv in (("expand",), ("coeff", "--lambda", "2,2,2,2,2,1,1")):
+            code, out, err = run(capsys, *argv, "--poset-json", str(path))
+            data = json.loads(out)
+            assert code == 0 and err == "" and data.pop("graph") == document
+            printed.append(canonical_json(data))
+        outputs.append(printed)
+    # the same bytes but for the echoed source
+    assert outputs[0] == outputs[1] and json.loads(outputs[0][0])["coeffs"]
+
+
 def test_traced_targets_are_all_in_place():
     # the traced benchmark run wraps these functions and silently skips any
     # that is missing, dropping its metrics from the result line

@@ -11,12 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 import chromsym.posets as posets
 import chromsym.reference as reference
 from chromsym._util import iter_bits
-from chromsym.tabloids import check_order_compatible
 from chromsym import (
     CycleError,
     EmptyPartitionError,
     Graph,
-    OrderIncompatibleError,
     Partition,
     Poset,
     has_stable_partition,
@@ -71,7 +69,8 @@ def test_poset_antichain_and_chain():
 def test_incomparability_graph_of_example():
     p = example_poset()
     g = incomparability_graph(p)
-    names = {i: p.label(i) for i in range(6)}
+    # d < c, so the vertices follow the least linear extension a, b, d, c, e, f
+    names = dict(enumerate("abdcef"))
     got = sorted("".join(sorted((names[u], names[v]))) for u, v in g.edges())
     assert got == ["ad", "bc", "bd", "cf", "df", "ef"]
 
@@ -119,6 +118,8 @@ def test_poset_and_graph_input_checks():
         Poset.from_json({"n": 2, "labels": ["a", 1]})
     with pytest.raises(ValueError, match="^poset has no labels$"):
         Poset(2, [(0, 1)]).element("0")
+    with pytest.raises(ValueError, match="^no element carries the label 'c'$"):
+        Poset(2, [], ["a", "b"]).element("c")
 
 
 def test_multipartite_shapes():
@@ -316,28 +317,39 @@ def brute_force_reach(n, covers):
 
 @st.composite
 def cover_lists(draw, max_n=8):
-    """(n, covers, edges): any covers on n elements, cycles and self-loops
-    included, and a random graph on the same elements."""
+    """(n, covers): any covers on n elements, cycles and self-loops
+    included."""
     n = draw(st.integers(min_value=0, max_value=max_n))
     if not n:
-        return 0, [], []
+        return 0, []
     element = st.integers(min_value=0, max_value=n - 1)
-    covers = draw(st.lists(st.tuples(element, element), max_size=2 * n))
-    pairs = list(itertools.combinations(range(n), 2))
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return n, covers, [e for e, k in zip(pairs, keep) if k]
+    return n, draw(st.lists(st.tuples(element, element), max_size=2 * n))
+
+
+def least_linear_extension(n, reach):
+    """The elements in order, each step taking the smallest one that nothing
+    unplaced lies below, by a scan of `reach` (:func:`brute_force_reach`)."""
+    placed = []
+    while len(placed) < n:
+        placed.append(
+            min(
+                y
+                for y in range(n)
+                if y not in placed and all(x in placed or x == y for x in range(n) if y in reach[x])
+            )
+        )
+    return placed
 
 
 @settings(max_examples=300, deadline=None)
 @given(cover_lists())
-@example((0, [], []))
-@example((4, [(0, 1), (1, 2), (2, 3)], []))  # a chain
-@example((4, [], []))  # an antichain
-@example((4, [], [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]))  # and its graph
-@example((4, [(0, 1), (2, 3)], [(0, 2), (0, 3), (1, 2), (1, 3)]))  # 2+2 and its graph
-@example((4, [(0, 1), (2, 3)], [(0, 2), (0, 3), (1, 2)]))
+@example((0, []))
+@example((4, [(0, 1), (1, 2), (2, 3)]))  # a chain
+@example((4, []))  # an antichain
+@example((4, [(0, 1), (2, 3)]))  # 2+2
+@example((4, [(1, 0), (1, 2), (3, 2)]))  # N, numbered so that the numbers do not extend it
 def test_poset_masks_match_brute_force_reachability(case):
-    n, covers, edges = case
+    n, covers = case
     reach = brute_force_reach(n, covers)
     if any(x in reach[y] for x in range(n) for y in reach[x] if y != x) or any(
         lo == hi for lo, hi in covers
@@ -354,16 +366,14 @@ def test_poset_masks_match_brute_force_reachability(case):
         for x, y in itertools.combinations(range(n), 2)
         if y not in reach[x] and x not in reach[y]
     ]
-    assert incomparability_graph(poset).edges() == apart
-    # compatible iff no non-adjacent pair is incomparable; the first is named
-    clash = [(x, y) for x, y in apart if (x, y) not in edges]
-    check_order_compatible(incomparability_graph(poset), poset)
-    if clash:
-        u, v = clash[0]
-        with pytest.raises(OrderIncompatibleError, match=f"vertices {u} and {v} "):
-            check_order_compatible(Graph(n, edges), poset)
-    else:
-        check_order_compatible(Graph(n, edges), poset)
+    # inc(P) numbers each element by its place in the least linear
+    # extension, which keeps numbers that already extend P
+    extension = least_linear_extension(n, reach)
+    if all(lo < hi for lo, hi in covers):
+        assert extension == list(range(n))
+    vertex = {x: i for i, x in enumerate(extension)}
+    renumbered = sorted(tuple(sorted((vertex[x], vertex[y]))) for x, y in apart)
+    assert incomparability_graph(poset).edges() == renumbered
 
 
 def test_sides_are_read_off_the_adjacency():
@@ -649,6 +659,12 @@ def relabelled(poset, perm):
     return Poset(poset.size, [(perm[lo], perm[hi]) for lo, hi in poset.covers])
 
 
+def inc_as_numbered(poset):
+    """inc(P) on P's own element numbers, whether or not they extend P."""
+    pairs = itertools.combinations(range(poset.size), 2)
+    return Graph(poset.size, [(x, y) for x, y in pairs if not (poset.leq(x, y) or poset.leq(y, x))])
+
+
 def test_natural_orders_count_by_chains_and_never_sweep(monkeypatch):
     sweeps = []
     frontiers = []
@@ -666,10 +682,12 @@ def test_natural_orders_count_by_chains_and_never_sweep(monkeypatch):
     monkeypatch.setattr(posets, "_sweep_counts", recording_sweep)
     monkeypatch.setattr(posets, "_frontier_counts", recording_frontier)
     order = natural_order((2, 3, 4, 5, 5, 5))
-    # relabelled in reverse, its graph is natural again, here with the
-    # same reach
-    for poset in (order, relabelled(order, (5, 4, 3, 2, 1, 0))):
-        natural = incomparability_graph(poset)
+    # relabelled in reverse and kept in those numbers, its graph is natural
+    # again, here with the same reach
+    for natural in (
+        incomparability_graph(order),
+        inc_as_numbered(relabelled(order, (5, 4, 3, 2, 1, 0))),
+    ):
         assert posets._index_order(natural) == later_masks((2, 3, 4, 5, 5, 5))
         expected = semi_ordered_by_backtracking(Graph(6, natural.edges()))
         assert stable_partition_count(natural, (2, 2, 2)) == expected[(2, 2, 2)] // 6
@@ -707,8 +725,8 @@ def test_natural_orders_count_by_chains_and_never_sweep(monkeypatch):
         assert frontiers[-1] == posets._index_order(graph)
     # graphs whose non-edges are not transitive by index sweep
     others = [
-        # the natural order above, relabelled out of a linear extension
-        incomparability_graph(relabelled(order, (1, 2, 3, 0, 4, 5))),
+        # the natural order above, kept in numbers that do not extend it
+        inc_as_numbered(relabelled(order, (1, 2, 3, 0, 4, 5))),
         # C5
         Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
     ]
